@@ -37,8 +37,6 @@ from .subsys import CartanType
 
 ENV_GOLDEN = "QUATFORMS_GOLDEN"
 
-ENUMERATION_RANK_CAP = 10
-
 CLASSICAL_FAMILIES = "ABCD"
 
 
@@ -412,9 +410,7 @@ def golden_for_type(
 # ---------------------------------------------------------------------------
 
 
-def enumerate_involutions(
-    rs: RootSystem, max_rank: int = ENUMERATION_RANK_CAP
-) -> list[ToralElement]:
+def enumerate_involutions(rs: RootSystem) -> list[ToralElement]:
     """All 2^rank coweight-basis candidates with denominator 2, in lex order.
 
     Includes the zero element; downstream analysis rejects it (the highest
@@ -423,11 +419,6 @@ def enumerate_involutions(
     if rs.rank < 2:
         raise GradingError(
             f"no quaternionic node grading for {rs.type.label} (rank 1)"
-        )
-    if rs.rank > max_rank:
-        raise ValueError(
-            f"rank {rs.rank} exceeds the enumeration cap {max_rank}; "
-            "pass max_rank to override"
         )
     return [
         ToralElement(coords, 2, COWEIGHT)

@@ -53,56 +53,47 @@ class ToralElement:
         )
 
 
-def _check_rank(rs: RootSystem, t: ToralElement) -> None:
+def _coweight_coords(rs: RootSystem, t: ToralElement) -> tuple[int, ...]:
+    """Coordinates of t in the coweight basis.
+
+    A coroot-basis element maps to c' = A c (Cartan matrix times the old
+    coordinates), which leaves the pairing of every root unchanged; in the
+    coweight basis a root pairs as the dot product with its coefficients.
+    """
     if len(t.coords) != rs.rank:
         raise ValueError(
             f"toral element has {len(t.coords)} coordinates, expected {rs.rank}"
         )
+    if t.basis == COWEIGHT:
+        return t.coords
+    n = rs.rank
+    return tuple(
+        sum(rs.cartan[j][i] * t.coords[i] for i in range(n)) % t.denom
+        for j in range(n)
+    )
 
 
 def pairing(rs: RootSystem, t: ToralElement, alpha: Root) -> int:
     """Residue mod denom of the root alpha against the toral element."""
-    _check_rank(rs, t)
+    c = _coweight_coords(rs, t)
     if not rs.is_root(alpha):
         raise ValueError(f"{alpha} is not a root of {rs.type.label}")
-    if t.basis == COWEIGHT:
-        total = sum(c * n for c, n in zip(t.coords, alpha))
-    else:
-        row = rs._coroot_rows[alpha]
-        total = sum(c * p for c, p in zip(t.coords, row))
-    return total % t.denom
+    return sum(x * n for x, n in zip(c, alpha)) % t.denom
 
 
 def convert_to_coweight(rs: RootSystem, t: ToralElement) -> ToralElement:
-    """Re-express a coroot-basis element in the coweight basis.
-
-    The new coordinates are c' = A c (Cartan matrix times the old ones),
-    which leaves the pairing of every root unchanged.
-    """
-    _check_rank(rs, t)
+    """Re-express a coroot-basis element in the coweight basis."""
     if t.basis != COROOT:
         raise ValueError("convert_to_coweight expects a coroot-basis element")
-    n = rs.rank
-    coords = tuple(
-        sum(rs.cartan[j][i] * t.coords[i] for i in range(n)) % t.denom
-        for j in range(n)
-    )
-    return ToralElement(coords, t.denom, COWEIGHT)
+    return ToralElement(_coweight_coords(rs, t), t.denom, COWEIGHT)
 
 
 def centralizer_roots(rs: RootSystem, t: ToralElement) -> frozenset[Root]:
     """Roots pairing to zero mod denom, as a plain set."""
-    _check_rank(rs, t)
+    c = _coweight_coords(rs, t)
     d = t.denom
-    if t.basis == COWEIGHT:
-        c = t.coords
-        return frozenset(
-            r for r in rs.root_set if sum(x * n for x, n in zip(c, r)) % d == 0
-        )
-    c = t.coords
-    rows = rs._coroot_rows
     return frozenset(
-        r for r in rs.root_set if sum(x * p for x, p in zip(c, rows[r])) % d == 0
+        r for r in rs.root_set if sum(x * n for x, n in zip(c, r)) % d == 0
     )
 
 

@@ -2,9 +2,9 @@
 
 A root is an integer coefficient vector over the simple roots.  Simple roots
 are numbered 1..rank following Bourbaki (plates I-IX); all public indices in
-this package are 1-based Bourbaki indices.  Long roots are normalized to
-squared length 2, so coroot pairings of short roots stay integral in the
-non-simply-laced families.
+this package are 1-based Bourbaki indices.  Cartan pairings of two roots
+are read off root strings inside the root set, so all arithmetic stays on
+integer coefficient vectors; no root lengths are stored.
 
 The highest root defines a grading by its attach node(s) in the extended
 diagram: grade 1 cuts out the tangent part of the quaternionic symmetric
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 Root = tuple[int, ...]
@@ -140,27 +139,6 @@ def _cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def _squared_lengths(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
-    """Squared lengths of the simple roots, long roots normalized to 2.
-
-    Length ratios follow from the Cartan matrix: |a_j|^2 / |a_i|^2 =
-    A[j][i] / A[i][j] for every edge (i, j); the diagram is connected,
-    so one propagation pass determines all ratios.
-    """
-    n = len(cartan)
-    lengths = {0: Fraction(1)}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if j != i and cartan[i][j] != 0 and j not in lengths:
-                lengths[j] = lengths[i] * Fraction(cartan[j][i], cartan[i][j])
-                stack.append(j)
-    assert len(lengths) == n, "Dynkin diagram must be connected"
-    top = max(lengths.values())
-    return tuple(lengths[i] * 2 / top for i in range(n))
-
-
 def _vadd(a: Root, b: Root) -> Root:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -218,7 +196,6 @@ class RootSystem:
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
     highest_root: Root
-    root_lengths: tuple[Fraction, ...]
 
     @property
     def rank(self) -> int:
@@ -235,18 +212,6 @@ class RootSystem:
     def simple_roots(self) -> tuple[Root, ...]:
         n = self.rank
         return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-
-    @cached_property
-    def _coroot_rows(self) -> dict[Root, tuple[int, ...]]:
-        """Per root, its pairings with every simple coroot (0-based columns)."""
-        n = self.rank
-        cols = tuple(tuple(self.cartan[j][i] for j in range(n)) for i in range(n))
-        table: dict[Root, tuple[int, ...]] = {}
-        for r in self.root_set:
-            table[r] = tuple(
-                sum(r[j] * col[j] for j in range(n)) for col in cols
-            )
-        return table
 
     def is_root(self, v: Root) -> bool:
         return v in self.root_set
@@ -272,42 +237,44 @@ def build_root_system(t: SimpleType) -> RootSystem:
         cartan=cartan,
         positive_roots=tuple(pos),
         highest_root=highest,
-        root_lengths=_squared_lengths(cartan),
     )
     assert all(not rs.is_root(_vadd(highest, s)) for s in rs.simple_roots)
     return rs
 
 
+def pairing_with_coroot(rs: RootSystem, a: Root, b: Root) -> int:
+    """Integer Cartan pairing <a, b-check> of two roots.
+
+    For b != +-a the b-string through a runs unbroken from a - p*b to
+    a + q*b, and <a, b-check> = p - q (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 9.4).
+    """
+    roots = rs.root_set
+    for r in (a, b):
+        if r not in roots:
+            raise ValueError(f"{r} is not a root of {rs.type.label}")
+    if a == b:
+        return 2
+    if a == _vneg(b):
+        return -2
+    p = 0
+    v = _vsub(a, b)
+    while v in roots:
+        p += 1
+        v = _vsub(v, b)
+    q = 0
+    v = _vadd(a, b)
+    while v in roots:
+        q += 1
+        v = _vadd(v, b)
+    return p - q
+
+
 def coroot_pairing(rs: RootSystem, alpha: Root, i: int) -> int:
     """Cartan pairing <alpha, alpha_i-check> for a root alpha, i 1-based."""
-    if not rs.is_root(alpha):
-        raise ValueError(f"{alpha} is not a root of {rs.type.label}")
     if not 1 <= i <= rs.rank:
         raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
-    return rs._coroot_rows[alpha][i - 1]
-
-
-def symmetrized_inner(rs: RootSystem, a: Root, b: Root) -> Fraction:
-    """Weyl-invariant inner product (a, b), long roots of squared length 2."""
-    rows = rs._coroot_rows
-    row_a = rows.get(a)
-    if row_a is None:
-        row_a = tuple(
-            sum(a[j] * rs.cartan[j][i] for j in range(rs.rank))
-            for i in range(rs.rank)
-        )
-    total = Fraction(0)
-    for i in range(rs.rank):
-        if b[i]:
-            total += b[i] * (rs.root_lengths[i] / 2) * row_a[i]
-    return total
-
-
-def pairing_with_coroot(rs: RootSystem, a: Root, b: Root) -> int:
-    """Integer Cartan pairing <a, b-check> = 2(a,b)/(b,b) of two roots."""
-    val = 2 * symmetrized_inner(rs, a, b) / symmetrized_inner(rs, b, b)
-    assert val.denominator == 1, f"non-integral pairing {val} for {a}, {b}"
-    return int(val)
+    return pairing_with_coroot(rs, alpha, rs.simple_roots[i - 1])
 
 
 def node_set(rs: RootSystem) -> frozenset[int]:
@@ -322,8 +289,12 @@ def node_set(rs: RootSystem) -> frozenset[int]:
         raise GradingError(
             f"no quaternionic node grading for {rs.type.label} (rank 1)"
         )
-    row = rs._coroot_rows[rs.highest_root]
-    return frozenset(i + 1 for i in range(rs.rank) if row[i] > 0)
+    theta = rs.highest_root
+    return frozenset(
+        i + 1
+        for i, alpha_i in enumerate(rs.simple_roots)
+        if pairing_with_coroot(rs, theta, alpha_i) > 0
+    )
 
 
 def grade(rs: RootSystem, nodes: frozenset[int] | set[int], alpha: Root) -> int:

@@ -1,10 +1,12 @@
 """Independent oracles used to cross-check the package's root generation.
 
 Everything here works from the Cartan matrix alone and shares no code with
-the root-string generator in quatforms.rootsys.
+the root-string generator and root-string pairing in quatforms.rootsys.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def reflection_closure(cartan) -> frozenset[tuple[int, ...]]:
@@ -37,8 +39,9 @@ def positive_part(roots) -> frozenset[tuple[int, ...]]:
 def regenerate_from_base(rs, base) -> frozenset[tuple[int, ...]]:
     """Orbit of a base under its own reflections, inside the ambient system.
 
-    Uses the ambient symmetrized form for the reflection pairings; the
-    result must be exactly the subsystem the base came from.
+    Uses the package's pairing_with_coroot for the reflection pairings
+    (pinned against length_pairing below); the result must be exactly the
+    subsystem the base came from.
     """
     from quatforms.rootsys import pairing_with_coroot
 
@@ -53,3 +56,58 @@ def regenerate_from_base(rs, base) -> frozenset[tuple[int, ...]]:
                 current.add(refl)
                 frontier.append(refl)
     return frozenset(current)
+
+
+def squared_lengths(cartan) -> tuple[Fraction, ...]:
+    """Squared lengths of the simple roots, long roots normalized to 2.
+
+    Length ratios follow from the Cartan matrix: |a_j|^2 / |a_i|^2 =
+    A[j][i] / A[i][j] for every edge (i, j); the diagram is connected,
+    so one propagation pass determines all ratios.
+    """
+    n = len(cartan)
+    lengths = {0: Fraction(1)}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if j != i and cartan[i][j] != 0 and j not in lengths:
+                lengths[j] = lengths[i] * Fraction(cartan[j][i], cartan[i][j])
+                stack.append(j)
+    if len(lengths) != n:
+        raise ValueError("Dynkin diagram must be connected")
+    top = max(lengths.values())
+    return tuple(lengths[i] * 2 / top for i in range(n))
+
+
+def length_pairing(cartan):
+    """Cartan pairing <a, b-check> = 2(a, b)/(b, b) from root lengths.
+
+    (a, b) is the Weyl-invariant form with long roots of squared length 2,
+    evaluated in Fraction from squared_lengths; a non-integral pairing
+    raises.  Returns pairing(a, b); rows of the Cartan product are cached
+    per vector, so one instance serves many pairs of one type.
+    """
+    n = len(cartan)
+    lengths = squared_lengths(cartan)
+    rows: dict = {}
+
+    def inner(a, b) -> Fraction:
+        row_a = rows.get(a)
+        if row_a is None:
+            row_a = rows[a] = tuple(
+                sum(a[j] * cartan[j][i] for j in range(n)) for i in range(n)
+            )
+        total = Fraction(0)
+        for i in range(n):
+            if b[i]:
+                total += b[i] * (lengths[i] / 2) * row_a[i]
+        return total
+
+    def pairing(a, b) -> int:
+        val = 2 * inner(a, b) / inner(b, b)
+        if val.denominator != 1:
+            raise ValueError(f"non-integral pairing {val} for {a}, {b}")
+        return int(val)
+
+    return pairing

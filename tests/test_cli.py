@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import quatforms
 from quatforms.cli import main
 
 try:
@@ -203,3 +206,30 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "7/7 cases pass" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "E7", "--json"],
+        ["analyze", "E8", "--sym", "0,0,0,0,0,0,0,1"],
+        ["cases"],
+    ],
+)
+def test_optimized_interpreter_parity(argv):
+    """Output does not depend on asserts: -O gives the same bytes and code."""
+    src = str(Path(quatforms.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*flags):
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "quatforms.cli", *argv],
+            capture_output=True,
+            env=env,
+        )
+
+    plain, optimized = run(), run("-O")
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == plain.returncode
+    assert optimized.stdout == plain.stdout

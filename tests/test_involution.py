@@ -10,6 +10,7 @@ from quatforms import (
     build_root_system,
     centralizer,
     convert_to_coweight,
+    coroot_pairing,
     pairing,
     parse_type,
     recognize,
@@ -136,3 +137,24 @@ def test_basis_change_preserves_centralizers(label):
         assert centralizer_roots(rs, t) == centralizer_roots(
             rs, convert_to_coweight(rs, t)
         )
+
+
+@pytest.mark.parametrize("label", ["G2", "F4", "B4", "C4"])
+def test_coroot_basis_pairs_through_coroots(label):
+    """A coroot-basis element pairs as sum c_i <alpha, alpha_i-check> mod d.
+
+    Cross-checks the Cartan-matrix basis change against the root-string
+    pairings on the non-simply-laced types, where a transposed matrix
+    would differ; denominators 3 and 5 keep the -2 and -3 entries visible.
+    """
+    rs = build_root_system(parse_type(label))
+    rng = random.Random(label)
+    for d in (3, 5):
+        for _ in range(4):
+            c = tuple(rng.randrange(d) for _ in range(rs.rank))
+            t = ToralElement(c, d, "coroot")
+            for alpha in rs.root_set:
+                expected = sum(
+                    c[i] * coroot_pairing(rs, alpha, i + 1) for i in range(rs.rank)
+                )
+                assert pairing(rs, t, alpha) == expected % d

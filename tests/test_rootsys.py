@@ -15,7 +15,7 @@ from quatforms import (
 from quatforms.rootsys import pairing_with_coroot, roots_to_json
 
 from conftest import GRADED_LABELS, SUPPORTED_LABELS
-from oracles import positive_part, reflection_closure
+from oracles import length_pairing, positive_part, reflection_closure
 
 
 def test_parse_type_examples():
@@ -144,6 +144,29 @@ def test_coroot_pairing_rejects_non_roots():
     g2 = build_root_system(parse_type("G2"))
     with pytest.raises(ValueError, match="not a root"):
         coroot_pairing(g2, (2, 0), 1)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS)
+def test_pairing_with_coroot_matches_length_oracle(label):
+    """Root-string pairings equal 2(a,b)/(b,b) from squared lengths.
+
+    Every pair of roots up to rank 4; above that every root against each
+    simple root and the highest root.
+    """
+    rs = build_root_system(parse_type(label))
+    oracle = length_pairing(rs.cartan)
+    roots = sorted(rs.root_set)
+    targets = roots if rs.rank <= 4 else rs.simple_roots + (rs.highest_root,)
+    for b in targets:
+        for a in roots:
+            assert pairing_with_coroot(rs, a, b) == oracle(a, b), (a, b)
+
+
+def test_pairing_with_coroot_rejects_non_roots():
+    g2 = build_root_system(parse_type("G2"))
+    for a, b in (((2, 0), (1, 0)), ((1, 0), (2, 0)), ((0, 0), (0, 1))):
+        with pytest.raises(ValueError, match="not a root of G2"):
+            pairing_with_coroot(g2, a, b)
 
 
 @pytest.mark.parametrize(
