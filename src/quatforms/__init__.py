@@ -38,7 +38,6 @@ from .involution import (
 from .complexform import (
     ComplexFormAnalysis,
     analyze,
-    disjoint_cover_ok,
     render_report,
     step6_count,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "classify_equal_rank",
     "convert_to_coweight",
     "coroot_pairing",
-    "disjoint_cover_ok",
     "enumerate_involutions",
     "generate_classical",
     "golden_for_type",

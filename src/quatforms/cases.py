@@ -35,14 +35,6 @@ class ReferenceCase:
     s_description: str
     display_aliases: Mapping[str, str] = field(default_factory=dict)
 
-    @property
-    def expected_l_display(self) -> str:
-        return self.expected_l.render(self.display_aliases, sep="")
-
-    @property
-    def expected_v_display(self) -> str:
-        return self.expected_v.render(self.display_aliases, sep="")
-
 
 REFERENCE_CASES: tuple[ReferenceCase, ...] = (
     ReferenceCase(

@@ -19,7 +19,6 @@ are reported as skipped.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from importlib import resources
 from itertools import product
@@ -34,8 +33,6 @@ from .rootsys import (
     quaternionic_decomposition,
 )
 from .subsys import CartanType
-
-ENV_GOLDEN = "QUATFORMS_GOLDEN"
 
 CLASSICAL_FAMILIES = "ABCD"
 
@@ -152,6 +149,8 @@ def load_golden(path: str) -> list[GoldenEntry]:
         raise GoldenDataError(f"cannot read golden file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GoldenDataError(f"golden file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GoldenDataError(f"golden file {path} is nested too deeply") from exc
     if not isinstance(data, list):
         raise GoldenDataError(f"golden file {path} must hold a JSON array")
     entries = [
@@ -391,11 +390,9 @@ def golden_for_type(
 ) -> tuple[list[GoldenEntry], bool]:
     """Golden entries for one ambient type plus a baseline-found flag.
 
-    Resolution order: explicit path, then the QUATFORMS_GOLDEN environment
-    variable, then the bundled registry (data file for exceptional types,
-    generator for classical families).
+    An explicit path wins; otherwise the bundled registry is used (data
+    file for exceptional types, generator for classical families).
     """
-    path = path or os.environ.get(ENV_GOLDEN)
     if path:
         entries = [e for e in load_golden(path) if e.ambient == t]
         return entries, bool(entries)
@@ -508,8 +505,11 @@ def classify_equal_rank(
         if sum(1 for a in m_set if a in cent) != gd.quaternionic_dim:
             continue
         a = analyze(rs, gd, t)
-        assert a.is_complex_form, "fast screen disagrees with full analysis"
-        assert a.step6_count == 0
+        if not a.is_complex_form or a.step6_count != 0:
+            raise RuntimeError(
+                f"fast screen disagrees with full analysis at {t.describe()}: "
+                f"verdict {a.verdict}, step6 count {a.step6_count}"
+            )
         key = (a.l_type, a.v_type)
         if key not in witnesses:
             witnesses[key] = t
@@ -525,7 +525,7 @@ def classify_equal_rank(
     try:
         golden, have_baseline = golden_for_type(rs.type, golden_path)
     except GoldenDataError:
-        if golden_path or os.environ.get(ENV_GOLDEN):
+        if golden_path:
             raise
         golden, have_baseline = [], False
 

@@ -56,16 +56,6 @@ def step6_count(rs: RootSystem, gd: GradedDecomposition, s_pos: tuple[Root, ...]
     return len(set(rows)) - len(gd.m_pos)
 
 
-def disjoint_cover_ok(
-    rs: RootSystem, gd: GradedDecomposition, s_pos: tuple[Root, ...]
-) -> bool:
-    """Strict cross-check: s and (highest - s) partition the grade-1 positives."""
-    theta = rs.highest_root
-    s_set = set(s_pos)
-    mirror = {_vsub(theta, beta) for beta in s_pos}
-    return not (s_set & mirror) and (s_set | mirror) == set(gd.m_pos)
-
-
 def analyze(
     rs: RootSystem, gd: GradedDecomposition, t: ToralElement
 ) -> ComplexFormAnalysis:

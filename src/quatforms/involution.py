@@ -101,6 +101,6 @@ def centralizer(rs: RootSystem, t: ToralElement) -> Subsystem:
     """Centralizer subsystem of a toral element.
 
     Pairing is additive on roots, so the result is closed and symmetric;
-    Subsystem construction asserts both.
+    Subsystem construction checks both.
     """
     return Subsystem(rs, centralizer_roots(rs, t))

@@ -2,15 +2,16 @@
 
 A subsystem here is a symmetric, addition-closed subset of an ambient root
 system (every centralizer and grade slice this package produces is of that
-kind).  Its base is extracted as the indecomposable positive elements, and
-the type of the base diagram is read off by a tree certificate: edge
-multiplicities, branch shape and arrow direction pin the component down to
-one entry of the classification.
+kind).  Its base, the indecomposable positive elements, is extracted in the
+same pass over pairs of positive roots that checks closure, and the type of
+the base diagram is read off by a tree certificate: edge multiplicities,
+branch shape and arrow direction pin the component down to one entry of the
+classification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -43,10 +44,15 @@ def _is_positive(r: Root) -> bool:
 
 @dataclass(frozen=True)
 class Subsystem:
-    """A symmetric, closed set of roots inside an ambient root system."""
+    """A symmetric, closed set of roots inside an ambient root system.
+
+    The closure check also extracts ``base``: the indecomposable positive
+    roots, in ``positive_roots`` order.
+    """
 
     ambient: RootSystem
     roots: frozenset[Root]
+    base: tuple[Root, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ambient_set = self.ambient.root_set
@@ -56,20 +62,25 @@ class Subsystem:
             if _vneg(r) not in self.roots:
                 raise NotClosedError(f"not symmetric: missing negative of {r}")
         # Closure under addition.  For a symmetric set it is enough to check
-        # sums and differences of positive members.
-        pos = [r for r in self.roots if _is_positive(r)]
+        # sums and differences of positive members; the positive members
+        # that are no such sum form the base.
+        pos = self.positive_roots
+        decomposable = set()
         for i, a in enumerate(pos):
             for b in pos[i + 1 :]:
                 s = _vadd(a, b)
-                if s in ambient_set and s not in self.roots:
-                    raise NotClosedError(
-                        f"not a closed subsystem: {a} + {b} = {s} is missing"
-                    )
+                if s in ambient_set:
+                    if s not in self.roots:
+                        raise NotClosedError(
+                            f"not a closed subsystem: {a} + {b} = {s} is missing"
+                        )
+                    decomposable.add(s)
                 d = _vsub(a, b)
                 if d in ambient_set and d not in self.roots:
                     raise NotClosedError(
                         f"not a closed subsystem: {a} - {b} = {d} is missing"
                     )
+        object.__setattr__(self, "base", tuple(r for r in pos if r not in decomposable))
 
     @cached_property
     def positive_roots(self) -> tuple[Root, ...]:
@@ -85,23 +96,10 @@ def base_of(sub: Subsystem) -> list[Root]:
     """Indecomposable positive elements of the subsystem.
 
     These form a base: every positive element is a nonnegative integer
-    combination, and distinct base elements pair nonpositively.
+    combination, and distinct base elements pair nonpositively (checked
+    by ``recognize``).
     """
-    pos = sub.positive_roots
-    pos_set = set(pos)
-    sums = set()
-    for i, a in enumerate(pos):
-        for b in pos[i:]:
-            s = _vadd(a, b)
-            if s in pos_set:
-                sums.add(s)
-    base = [r for r in pos if r not in sums]
-    for i, a in enumerate(base):
-        for b in base[i + 1 :]:
-            assert pairing_with_coroot(sub.ambient, a, b) <= 0, (
-                f"base elements {a}, {b} pair positively"
-            )
-    return base
+    return list(sub.base)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +178,15 @@ class CartanType:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CartanType":
-        comps = [SimpleType(c["family"], int(c["rank"])) for c in obj["components"]]
-        return cls(tuple(comps), int(obj["torus_rank"]))
+        """Inverse of ``to_json``; ranks must be integers (not bool or float)."""
+
+        def count(x: object) -> int:
+            if type(x) is not int:
+                raise TypeError(f"rank {x!r} is not an integer")
+            return x
+
+        comps = [SimpleType(c["family"], count(c["rank"])) for c in obj["components"]]
+        return cls(tuple(comps), count(obj["torus_rank"]))
 
     @classmethod
     def of(cls, *labels: str, torus_rank: int = 0) -> "CartanType":
@@ -300,7 +305,7 @@ def recognize(sub: Subsystem) -> CartanType:
     ambient rank minus the base size (correct for the full-rank subsystems
     this package produces).
     """
-    base = base_of(sub)
+    base = sub.base
     rank = sub.ambient.rank
     if not base:
         return CartanType((), rank)
@@ -309,6 +314,12 @@ def recognize(sub: Subsystem) -> CartanType:
         [pairing_with_coroot(sub.ambient, base[i], base[j]) for j in range(k)]
         for i in range(k)
     ]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if pairing[i][j] > 0:
+                raise UnclassifiableSubsystemError(
+                    f"base elements {base[i]}, {base[j]} pair positively"
+                )
     seen: set[int] = set()
     components: list[SimpleType] = []
     for start in range(k):

@@ -1,7 +1,8 @@
-"""Independent oracles used to cross-check the package's root generation.
+"""Independent oracles used to cross-check the package.
 
-Everything here works from the Cartan matrix alone and shares no code with
-the root-string generator and root-string pairing in quatforms.rootsys.
+The root and pairing oracles work from the Cartan matrix alone and share no
+code with the root-string generator and root-string pairing in
+quatforms.rootsys; the base and cover oracles work from plain root sets.
 """
 
 from __future__ import annotations
@@ -56,6 +57,32 @@ def regenerate_from_base(rs, base) -> frozenset[tuple[int, ...]]:
                 current.add(refl)
                 frontier.append(refl)
     return frozenset(current)
+
+
+def indecomposable_base(roots) -> list[tuple[int, ...]]:
+    """Positive roots that are not the sum of two positive roots.
+
+    A separate scan over all pairs of positive members of a closed root set,
+    ordered by height and then lexicographically; for a closed subsystem the
+    result is its base (Humphreys, Introduction to Lie Algebras, 10.1).
+    """
+    pos = sorted((r for r in roots if sum(r) > 0), key=lambda r: (sum(r), r))
+    pos_set = set(pos)
+    sums = set()
+    for i, a in enumerate(pos):
+        for b in pos[i:]:
+            s = tuple(x + y for x, y in zip(a, b))
+            if s in pos_set:
+                sums.add(s)
+    return [r for r in pos if r not in sums]
+
+
+def disjoint_cover_ok(rs, gd, s_pos) -> bool:
+    """Strict cross-check: s and (highest - s) partition the grade-1 positives."""
+    theta = rs.highest_root
+    s_set = set(s_pos)
+    mirror = {tuple(t - b for t, b in zip(theta, beta)) for beta in s_pos}
+    return not (s_set & mirror) and (s_set | mirror) == set(gd.m_pos)
 
 
 def squared_lengths(cartan) -> tuple[Fraction, ...]:

@@ -21,7 +21,6 @@ from quatforms import (
     analyze,
     build_root_system,
     classify_equal_rank,
-    disjoint_cover_ok,
     parse_type,
     quaternionic_decomposition,
     recognize,
@@ -33,7 +32,7 @@ from quatforms.rootsys import grade
 from quatforms.subsys import Subsystem
 
 from conftest import CLASSIFY_LABELS, GRADED_LABELS, SUPPORTED_LABELS
-from oracles import positive_part, reflection_closure
+from oracles import disjoint_cover_ok, positive_part, reflection_closure
 
 EXCEPTIONAL = ("G2", "F4", "E6", "E7", "E8")
 

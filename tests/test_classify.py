@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -304,10 +305,16 @@ def test_classify_untested_classical_rank_degrades_to_no_baseline():
     assert len(rep.found) == 5  # the five P^u x P^{8-u} products, u = 0..4
 
 
-def test_env_var_selects_golden(tmp_path, monkeypatch):
-    path = _write_golden(tmp_path, [_G2_ENTRY])
-    monkeypatch.setenv("QUATFORMS_GOLDEN", path)
-    rep = classify_equal_rank(_rs("G2"))
-    assert rep.ok and not rep.no_golden_baseline
-    rep = classify_equal_rank(_rs("F4"))
-    assert rep.no_golden_baseline
+@pytest.mark.parametrize(
+    "change", [{"verdict": "not-complex-form"}, {"step6_count": 1}]
+)
+def test_screen_disagreement_raises(monkeypatch, change):
+    """The screen/analysis cross-check is a raise, so it survives python -O."""
+    import quatforms.classify
+
+    def broken(rs, gd, t):
+        return dataclasses.replace(analyze(rs, gd, t), **change)
+
+    monkeypatch.setattr(quatforms.classify, "analyze", broken)
+    with pytest.raises(RuntimeError, match="fast screen disagrees with full analysis"):
+        classify_equal_rank(_rs("G2"))

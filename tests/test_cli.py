@@ -148,6 +148,44 @@ def test_classify_bad_golden_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def _bad_rank_golden(where, value):
+    entry = {
+        "ambient": "G2",
+        "label": "4",
+        "l_type": {"components": [{"family": "A", "rank": 1}] * 2, "torus_rank": 0},
+        "v_type": {"components": [], "torus_rank": 2},
+        "s_description": "P^1(C) x P^1(C)",
+        "noncompact_dual": "H^1(C) x H^1(C)",
+        "equal_rank": True,
+        "table_rank": 2,
+        "table_dim_h": 2,
+    }
+    text = json.dumps([entry])
+    if where == "rank":
+        return text.replace('"rank": 1}', f'"rank": {value}}}', 1)
+    return text.replace('"torus_rank": 2', f'"torus_rank": {value}', 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100000,
+        _bad_rank_golden("rank", "1e400"),
+        _bad_rank_golden("rank", "true"),
+        _bad_rank_golden("torus_rank", "2.7"),
+    ],
+    ids=["deep-nesting", "rank-overflow", "rank-bool", "torus-rank-float"],
+)
+def test_classify_malformed_golden_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["classify", "G2", "--golden", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("quatforms classify: error:")
+    assert "Traceback" not in err
+
+
 def test_table(capsys):
     code, out = _run(capsys, "table")
     assert code == 0

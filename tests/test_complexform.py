@@ -9,7 +9,6 @@ from quatforms import (
     ToralElement,
     analyze,
     build_root_system,
-    disjoint_cover_ok,
     parse_type,
     quaternionic_decomposition,
     render_report,
@@ -17,6 +16,8 @@ from quatforms import (
 )
 from quatforms.complexform import analysis_to_json_obj
 from quatforms.involution import centralizer
+
+from oracles import disjoint_cover_ok
 
 
 def _setup(label):

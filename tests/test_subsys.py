@@ -9,17 +9,19 @@ from quatforms import (
     NotClosedError,
     Subsystem,
     ToralElement,
+    UnclassifiableSubsystemError,
     base_of,
     build_root_system,
     centralizer,
+    node_set,
     parse_type,
     recognize,
 )
-from quatforms.rootsys import pairing_with_coroot
+from quatforms.rootsys import grade, pairing_with_coroot
 from quatforms.subsys import normalize_components
 
-from conftest import SUPPORTED_LABELS
-from oracles import regenerate_from_base
+from conftest import GRADED_LABELS, SUPPORTED_LABELS
+from oracles import indecomposable_base, regenerate_from_base
 
 
 def _full(label):
@@ -52,6 +54,12 @@ def test_subsystem_rejects_non_closed():
     # alpha_1 and alpha_2 without their sum
     roots = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
     with pytest.raises(NotClosedError, match="not a closed subsystem"):
+        Subsystem(rs, roots)
+    # alpha_1 and the highest root without their difference alpha_2
+    roots = frozenset({(1, 0), (-1, 0), (1, 1), (-1, -1)})
+    with pytest.raises(
+        NotClosedError, match=r"\(1, 0\) - \(1, 1\) = \(0, -1\) is missing"
+    ):
         Subsystem(rs, roots)
 
 
@@ -124,6 +132,54 @@ def test_base_regenerates_subsystem(label):
         sub = centralizer(rs, ToralElement(coords, 2, "coweight"))
         base = base_of(sub)
         assert regenerate_from_base(rs, base) == sub.roots
+
+
+def _assert_base_matches_oracle(sub):
+    expected = indecomposable_base(sub.roots)
+    assert list(sub.base) == expected
+    assert base_of(sub) == expected
+
+
+def _centralizer_and_v_slice(rs, nodes, t):
+    cent = centralizer(rs, t)
+    v_roots = frozenset(r for r in cent.roots if grade(rs, nodes, r) % 2 == 0)
+    return cent, Subsystem(rs, v_roots)
+
+
+@pytest.mark.parametrize(
+    "label", [s for s in GRADED_LABELS if parse_type(s).rank <= 6]
+)
+def test_base_matches_oracle_on_involutions(label):
+    """The base found by the closure pass equals a separate sum scan."""
+    from itertools import product
+
+    rs = build_root_system(parse_type(label))
+    nodes = node_set(rs)
+    for coords in product((0, 1), repeat=rs.rank):
+        t = ToralElement(coords, 2, "coweight")
+        for sub in _centralizer_and_v_slice(rs, nodes, t):
+            _assert_base_matches_oracle(sub)
+
+
+@pytest.mark.parametrize("label", ["E7", "E8", "B10", "D10"])
+def test_base_matches_oracle_on_higher_order_elements(label):
+    rs = build_root_system(parse_type(label))
+    nodes = node_set(rs)
+    rng = random.Random(f"base-{label}")
+    for _ in range(8):
+        d = rng.randint(3, 5)
+        coords = tuple(rng.randrange(d) for _ in range(rs.rank))
+        t = ToralElement(coords, d, rng.choice(["coroot", "coweight"]))
+        for sub in _centralizer_and_v_slice(rs, nodes, t):
+            _assert_base_matches_oracle(sub)
+
+
+def test_recognize_rejects_positive_base_pairing():
+    """A base whose elements pair positively is refused by a raise, not an assert."""
+    rs, sub = _full("A2")
+    object.__setattr__(sub, "base", ((1, 0), (1, 1)))
+    with pytest.raises(UnclassifiableSubsystemError, match="pair positively"):
+        recognize(sub)
 
 
 def test_base_pairings_nonpositive():
