@@ -28,8 +28,10 @@ from .complexform import analyze
 from .involution import COWEIGHT, ToralElement, centralizer_roots, pairing
 from .rootsys import (
     GradingError,
+    InvalidTypeError,
     RootSystem,
     SimpleType,
+    parse_type,
     quaternionic_decomposition,
 )
 from .subsys import CartanType
@@ -91,8 +93,6 @@ _REQUIRED_FIELDS = {
 
 
 def _entry_from_json(obj: dict, where: str) -> GoldenEntry:
-    from .rootsys import parse_type
-
     if not isinstance(obj, dict):
         raise GoldenDataError(f"{where}: entry must be an object, got {type(obj).__name__}")
     for name, typ in _REQUIRED_FIELDS.items():
@@ -103,12 +103,16 @@ def _entry_from_json(obj: dict, where: str) -> GoldenEntry:
                 f"{where}: field {name!r} must be {typ.__name__}"
             )
     try:
+        ambient = parse_type(obj["ambient"])
+    except InvalidTypeError as exc:
+        raise GoldenDataError(f"{where}: bad ambient type: {exc}") from exc
+    try:
         l_type = CartanType.from_json(obj["l_type"])
         v_type = CartanType.from_json(obj["v_type"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GoldenDataError(f"{where}: bad Cartan type: {exc}") from exc
     return GoldenEntry(
-        ambient=parse_type(obj["ambient"]),
+        ambient=ambient,
         label=obj["label"],
         l_type=l_type,
         v_type=v_type,
@@ -147,6 +151,8 @@ def load_golden(path: str) -> list[GoldenEntry]:
             data = json.load(fh)
     except OSError as exc:
         raise GoldenDataError(f"cannot read golden file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GoldenDataError(f"golden file {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GoldenDataError(f"golden file {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -173,7 +179,7 @@ def load_bundled_exceptional() -> list[GoldenEntry]:
 
 
 def generator_config() -> dict:
-    """Per-family generator selection: registry items and tested rank span."""
+    """Per-family tested rank span of the classical generators."""
     return json.loads(_bundled_text("data/classical_generators.json"))
 
 
@@ -240,7 +246,6 @@ def generate_classical(t: SimpleType) -> list[GoldenEntry]:
     family, n = t.family, t.rank
     config = generator_config()[family]
     lo, hi = config["tested_ranks"]
-    items = set(config["items"])
     if not lo <= n <= hi:
         raise GoldenDataError(
             f"no bundled golden baseline for {t.label}: the family-{family} "
@@ -251,23 +256,22 @@ def generate_classical(t: SimpleType) -> list[GoldenEntry]:
     if family == "A":
         r = n - 1
         table_rank, dim_h = min(r, 2), r
-        if "1a" in items:
-            lt = _ct([_orthogonal_type(r + 2)])
-            vt = _ct([_orthogonal_type(r)], extra_torus=1)
-            entries.append(
-                GoldenEntry(
-                    ambient=t,
-                    label="1a",
-                    l_type=lt,
-                    v_type=vt,
-                    s_description=f"SO({r + 2})/[SO({r}) x SO(2)]",
-                    noncompact_dual=f"SO({r},2)/[SO({r}) x SO(2)]",
-                    equal_rank=lt.total_rank == n,
-                    table_rank=table_rank,
-                    table_dim_h=dim_h,
-                )
+        lt = _ct([_orthogonal_type(r + 2)])
+        vt = _ct([_orthogonal_type(r)], extra_torus=1)
+        entries.append(
+            GoldenEntry(
+                ambient=t,
+                label="1a",
+                l_type=lt,
+                v_type=vt,
+                s_description=f"SO({r + 2})/[SO({r}) x SO(2)]",
+                noncompact_dual=f"SO({r},2)/[SO({r}) x SO(2)]",
+                equal_rank=lt.total_rank == n,
+                table_rank=table_rank,
+                table_dim_h=dim_h,
             )
-        for u in range(0, r // 2 + 1) if "1b" in items else ():
+        )
+        for u in range(0, r // 2 + 1):
             v = r - u
             lt = _ct([_unitary_type(u + 1), _unitary_type(v + 1)], extra_torus=-1)
             vt = _ct(
@@ -290,35 +294,30 @@ def generate_classical(t: SimpleType) -> list[GoldenEntry]:
             )
     elif family == "C":
         m = n - 1
-        if "3" in items:
-            lt = _ct([_unitary_type(n)])
-            vt = _ct([_unitary_type(m), _unitary_type(1)])
-            entries.append(
-                GoldenEntry(
-                    ambient=t,
-                    label="3",
-                    l_type=lt,
-                    v_type=vt,
-                    s_description=f"U({n})/[U({m}) x U(1)] = P^{m}(C)",
-                    noncompact_dual=f"U({m},1)/[U({m}) x U(1)] = H^{m}(C)",
-                    equal_rank=True,
-                    table_rank=1,
-                    table_dim_h=m,
-                )
+        entries.append(
+            GoldenEntry(
+                ambient=t,
+                label="3",
+                l_type=_ct([_unitary_type(n)]),
+                v_type=_ct([_unitary_type(m), _unitary_type(1)]),
+                s_description=f"U({n})/[U({m}) x U(1)] = P^{m}(C)",
+                noncompact_dual=f"U({m},1)/[U({m}) x U(1)] = H^{m}(C)",
+                equal_rank=True,
+                table_rank=1,
+                table_dim_h=m,
             )
+        )
     else:  # B or D
         r = 2 * n - 3 if family == "B" else 2 * n - 4
         table_rank, dim_h = min(r, 4), r
-        if family == "D" and "2a" in items:
+        if family == "D":
             rp = r // 2
-            lt = _ct([_unitary_type(rp + 2)])
-            vt = _ct([_unitary_type(rp), _unitary_type(2)])
             entries.append(
                 GoldenEntry(
                     ambient=t,
                     label="2a",
-                    l_type=lt,
-                    v_type=vt,
+                    l_type=_ct([_unitary_type(rp + 2)]),
+                    v_type=_ct([_unitary_type(rp), _unitary_type(2)]),
                     s_description=f"SU({rp + 2})/S(U({rp}) x U(2))",
                     noncompact_dual=f"SU({rp},2)/S(U({rp}) x U(2))",
                     equal_rank=True,
@@ -326,7 +325,7 @@ def generate_classical(t: SimpleType) -> list[GoldenEntry]:
                     table_dim_h=dim_h,
                 )
             )
-        for u in range(0, r // 2 + 1) if "2b" in items else ():
+        for u in range(0, r // 2 + 1):
             v = r - u
             lt = _ct([_orthogonal_type(u + 2), _orthogonal_type(v + 2)])
             vt = _ct([_orthogonal_type(u), _orthogonal_type(v)], extra_torus=2)
@@ -440,11 +439,7 @@ class FoundForm:
         return {
             "l_type": self.l_type.to_json(),
             "v_type": self.v_type.to_json(),
-            "witness": {
-                "coords": list(self.witness.coords),
-                "denom": self.witness.denom,
-                "basis": self.witness.basis,
-            },
+            "witness": self.witness.to_json(),
             "multiplicity": self.multiplicity,
         }
 

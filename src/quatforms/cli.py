@@ -6,6 +6,10 @@ complex-form tests, ``classify`` scans all involution candidates against
 the golden registry, ``table`` checks the quaternionic dimension table,
 and ``cases`` replays the bundled reference cases.
 
+Each verb builds one report: a JSON document and its text lines, side by
+side.  The text is printed by default; ``--json`` prints the same report
+as a document instead.
+
 Exit codes: 0 on success, 1 on a verification mismatch, 2 on usage errors.
 """
 
@@ -14,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .cases import REFERENCE_CASES, run_case
 from .classify import GoldenDataError, classify_equal_rank, load_table
@@ -34,14 +37,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-
-@dataclass
-class Command:
-    """One parsed invocation: a single verb plus its options."""
-
-    verb: str
-    type_label: str | None = None
-    options: dict = field(default_factory=dict)
+# What a verb's runner returns: the JSON document, the text lines and the
+# exit code.
+_Report = tuple[dict, list[str], int]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,13 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_command(argv: list[str]) -> Command:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    options = {k: v for k, v in vars(ns).items() if k not in ("verb", "type_label")}
-    return Command(verb=ns.verb, type_label=getattr(ns, "type_label", None), options=options)
-
-
 def _parse_sym(text: str, rank: int) -> tuple[int, ...]:
     try:
         coords = tuple(int(x) for x in text.split(","))
@@ -104,195 +95,150 @@ def _parse_sym(text: str, rank: int) -> tuple[int, ...]:
     return coords
 
 
-def _emit(doc: str) -> None:
-    sys.stdout.write(doc + "\n")
-
-
-def _run_roots(cmd: Command) -> int:
-    rs = build_root_system(parse_type(cmd.type_label))
+def _run_roots(ns: argparse.Namespace) -> _Report:
+    rs = build_root_system(parse_type(ns.type_label))
     try:
         nodes = sorted(node_set(rs))
     except GradingError:
         nodes = []
-    if cmd.options.get("json"):
-        obj = {
-            "type": rs.type.label,
-            "rank": rs.rank,
-            "positive_count": len(rs.positive_roots),
-            "highest_root": list(rs.highest_root),
-            "cartan": [list(row) for row in rs.cartan],
-            "node_set": nodes,
-        }
-        if cmd.options.get("dump_roots"):
-            obj["positive_roots"] = roots_to_json(rs.positive_roots)
-        _emit(json.dumps(obj, indent=2))
-    else:
-        lines = [
-            f"type: {rs.type.label}",
-            f"rank: {rs.rank}",
-            f"positive roots: {len(rs.positive_roots)}",
-            f"highest root: {json.dumps(list(rs.highest_root))}",
-            f"node set: {','.join(str(i) for i in nodes) or '-'}",
-        ]
-        if cmd.options.get("dump_roots"):
-            lines.append("positive root list:")
-            lines.extend(json.dumps(list(r)) for r in rs.positive_roots)
-        _emit("\n".join(lines))
-    return EXIT_OK
+    obj = {
+        "type": rs.type.label,
+        "rank": rs.rank,
+        "positive_count": len(rs.positive_roots),
+        "highest_root": list(rs.highest_root),
+        "cartan": [list(row) for row in rs.cartan],
+        "node_set": nodes,
+    }
+    lines = [
+        f"type: {rs.type.label}",
+        f"rank: {rs.rank}",
+        f"positive roots: {len(rs.positive_roots)}",
+        f"highest root: {json.dumps(obj['highest_root'])}",
+        f"node set: {','.join(str(i) for i in nodes) or '-'}",
+    ]
+    if ns.dump_roots:
+        obj["positive_roots"] = roots_to_json(rs.positive_roots)
+        lines.append("positive root list:")
+        lines.extend(json.dumps(r) for r in obj["positive_roots"])
+    return obj, lines, EXIT_OK
 
 
-def _run_decompose(cmd: Command) -> int:
-    rs = build_root_system(parse_type(cmd.type_label))
+def _run_decompose(ns: argparse.Namespace) -> _Report:
+    rs = build_root_system(parse_type(ns.type_label))
     gd = quaternionic_decomposition(rs)
-    if cmd.options.get("json"):
-        obj = {
-            "type": rs.type.label,
-            "node_set": sorted(gd.node_set),
-            "k_count": len(gd.k_pos),
-            "m_count": len(gd.m_pos),
-            "quaternionic_dim": gd.quaternionic_dim,
-        }
-        _emit(json.dumps(obj, indent=2))
-    else:
-        _emit(
-            "\n".join(
-                [
-                    f"type: {rs.type.label}",
-                    f"node set: {','.join(str(i) for i in sorted(gd.node_set))}",
-                    f"positive roots of k: {len(gd.k_pos)}",
-                    f"positive roots of m: {len(gd.m_pos)}",
-                    f"dim/H: {gd.quaternionic_dim}",
-                ]
-            )
+    nodes = sorted(gd.node_set)
+    obj = {
+        "type": rs.type.label,
+        "node_set": nodes,
+        "k_count": len(gd.k_pos),
+        "m_count": len(gd.m_pos),
+        "quaternionic_dim": gd.quaternionic_dim,
+    }
+    lines = [
+        f"type: {rs.type.label}",
+        f"node set: {','.join(str(i) for i in nodes)}",
+        f"positive roots of k: {len(gd.k_pos)}",
+        f"positive roots of m: {len(gd.m_pos)}",
+        f"dim/H: {gd.quaternionic_dim}",
+    ]
+    return obj, lines, EXIT_OK
+
+
+def _run_analyze(ns: argparse.Namespace) -> _Report:
+    rs = build_root_system(parse_type(ns.type_label))
+    gd = quaternionic_decomposition(rs)
+    coords = _parse_sym(ns.sym, rs.rank)
+    a = analyze(rs, gd, ToralElement(coords, ns.denom, ns.basis))
+    return a.to_json(), render_report(a).split("\n"), EXIT_OK
+
+
+def _run_classify(ns: argparse.Namespace) -> _Report:
+    rs = build_root_system(parse_type(ns.type_label))
+    report = classify_equal_rank(rs, ns.golden)
+    lines = [f"ambient: {report.ambient.label}", f"candidates: {report.candidates}"]
+    for f in report.found:
+        lines.append(
+            f"found: L = {f.l_type.render()} | V = {f.v_type.render()} "
+            f"(witness {f.witness.describe()}, multiplicity {f.multiplicity})"
         )
-    return EXIT_OK
+    for e in report.skipped_unequal_rank:
+        lines.append(
+            f"skipped (lower rank, not reachable by toral centralizers): "
+            f"{e.label}: {e.s_description}"
+        )
+    if report.no_golden_baseline:
+        lines.append("no golden baseline for this type")
+    for e in report.missing:
+        lines.append(
+            f"MISSING: {e.label}: L = {e.l_type.render()} | V = {e.v_type.render()}"
+        )
+    for f in report.unexpected:
+        lines.append(f"UNEXPECTED: L = {f.l_type.render()} | V = {f.v_type.render()}")
+    lines.append("result: " + ("ok" if report.ok else "MISMATCH"))
+    return report.to_json(), lines, EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-def _run_analyze(cmd: Command) -> int:
-    rs = build_root_system(parse_type(cmd.type_label))
-    gd = quaternionic_decomposition(rs)
-    coords = _parse_sym(cmd.options["sym"], rs.rank)
-    t = ToralElement(coords, cmd.options["denom"], cmd.options["basis"])
-    a = analyze(rs, gd, t)
-    _emit(render_report(a, "json" if cmd.options.get("json") else "text"))
-    return EXIT_OK
-
-
-def _run_classify(cmd: Command) -> int:
-    rs = build_root_system(parse_type(cmd.type_label))
-    report = classify_equal_rank(rs, cmd.options.get("golden"))
-    if cmd.options.get("json"):
-        _emit(json.dumps(report.to_json(), indent=2))
-    else:
-        lines = [f"ambient: {report.ambient.label}", f"candidates: {report.candidates}"]
-        for f in report.found:
-            lines.append(
-                f"found: L = {f.l_type.render()} | V = {f.v_type.render()} "
-                f"(witness {f.witness.describe()}, multiplicity {f.multiplicity})"
-            )
-        for e in report.skipped_unequal_rank:
-            lines.append(
-                f"skipped (lower rank, not reachable by toral centralizers): "
-                f"{e.label}: {e.s_description}"
-            )
-        if report.no_golden_baseline:
-            lines.append("no golden baseline for this type")
-        for e in report.missing:
-            lines.append(
-                f"MISSING: {e.label}: L = {e.l_type.render()} | V = {e.v_type.render()}"
-            )
-        for f in report.unexpected:
-            lines.append(
-                f"UNEXPECTED: L = {f.l_type.render()} | V = {f.v_type.render()}"
-            )
-        lines.append("result: " + ("ok" if report.ok else "MISMATCH"))
-        _emit("\n".join(lines))
-    return EXIT_OK if report.ok else EXIT_MISMATCH
-
-
-def _run_table(cmd: Command) -> int:
-    rows = load_table()
-    results = []
-    for row in rows:
+def _run_table(ns: argparse.Namespace) -> _Report:
+    rows, lines = [], []
+    for row in load_table():
         rs = build_root_system(parse_type(row["ambient"]))
         computed = quaternionic_decomposition(rs).quaternionic_dim
-        results.append((row, computed, computed == row["dim_h"]))
-    ok = all(r[2] for r in results)
-    if cmd.options.get("json"):
-        obj = {
-            "rows": [
-                {
-                    "ambient": row["ambient"],
-                    "compact": row["compact"],
-                    "noncompact": row["noncompact"],
-                    "rank": row["rank"],
-                    "dim_h": row["dim_h"],
-                    "computed_dim_h": computed,
-                    "ok": good,
-                }
-                for row, computed, good in results
-            ],
-            "ok": ok,
-        }
-        _emit(json.dumps(obj, indent=2))
-    else:
-        lines = []
-        for row, computed, good in results:
-            lines.append(
-                f"{row['ambient']:<3} {row['compact']:<42} rank {row['rank']}  "
-                f"dim/H {computed:>2} (expected {row['dim_h']:>2})  "
-                f"{'ok' if good else 'MISMATCH'}"
-            )
-        lines.append(f"result: {'ok' if ok else 'MISMATCH'} ({len(results)} rows)")
-        _emit("\n".join(lines))
-    return EXIT_OK if ok else EXIT_MISMATCH
+        good = computed == row["dim_h"]
+        rows.append(
+            {
+                "ambient": row["ambient"],
+                "compact": row["compact"],
+                "noncompact": row["noncompact"],
+                "rank": row["rank"],
+                "dim_h": row["dim_h"],
+                "computed_dim_h": computed,
+                "ok": good,
+            }
+        )
+        lines.append(
+            f"{row['ambient']:<3} {row['compact']:<42} rank {row['rank']}  "
+            f"dim/H {computed:>2} (expected {row['dim_h']:>2})  "
+            f"{'ok' if good else 'MISMATCH'}"
+        )
+    ok = all(r["ok"] for r in rows)
+    lines.append(f"result: {'ok' if ok else 'MISMATCH'} ({len(rows)} rows)")
+    return {"rows": rows, "ok": ok}, lines, EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _run_cases(cmd: Command) -> int:
-    results = []
+def _run_cases(ns: argparse.Namespace) -> _Report:
+    cases, lines = [], []
     for case in REFERENCE_CASES:
         a, ok = run_case(case)
-        results.append((case, a, ok))
-    passed = sum(1 for _, _, ok in results if ok)
-    if cmd.options.get("json"):
-        obj = {
-            "cases": [
-                {
-                    "label": case.label,
-                    "ambient": case.ambient,
-                    "sym_bourbaki": list(case.sym_bourbaki),
-                    "sym_lie": list(case.lie_sym),
-                    "node_bourbaki": case.node_bourbaki,
-                    "node_lie": case.node_lie,
-                    "expected_l": case.expected_l.to_json(),
-                    "expected_v": case.expected_v.to_json(),
-                    "got_l": a.l_type.to_json(),
-                    "got_v": a.v_type.to_json(),
-                    "step6_count": a.step6_count,
-                    "verdict": a.verdict,
-                    "ok": ok,
-                }
-                for case, a, ok in results
-            ],
-            "passed": passed,
-            "total": len(results),
-        }
-        _emit(json.dumps(obj, indent=2))
-    else:
-        lines = []
-        for case, a, ok in results:
-            sym_b = ",".join(str(c) for c in case.sym_bourbaki)
-            sym_l = ",".join(str(c) for c in case.lie_sym)
-            lines.append(
-                f"{case.label:<3} node {case.node_bourbaki} (LiE {case.node_lie})  "
-                f"sym {sym_b} (LiE {sym_l})  "
-                f"L = {a.l_type.render(case.display_aliases)} | "
-                f"V = {a.v_type.render(case.display_aliases)}  "
-                f"step6 {a.step6_count}  {'pass' if ok else 'FAIL'}"
-            )
-        lines.append(f"{passed}/{len(results)} cases pass")
-        _emit("\n".join(lines))
-    return EXIT_OK if passed == len(results) else EXIT_MISMATCH
+        cases.append(
+            {
+                "label": case.label,
+                "ambient": case.ambient,
+                "sym_bourbaki": list(case.sym_bourbaki),
+                "sym_lie": list(case.lie_sym),
+                "node_bourbaki": case.node_bourbaki,
+                "node_lie": case.node_lie,
+                "expected_l": case.expected_l.to_json(),
+                "expected_v": case.expected_v.to_json(),
+                "got_l": a.l_type.to_json(),
+                "got_v": a.v_type.to_json(),
+                "step6_count": a.step6_count,
+                "verdict": a.verdict,
+                "ok": ok,
+            }
+        )
+        sym_b = ",".join(str(c) for c in case.sym_bourbaki)
+        sym_l = ",".join(str(c) for c in case.lie_sym)
+        lines.append(
+            f"{case.label:<3} node {case.node_bourbaki} (LiE {case.node_lie})  "
+            f"sym {sym_b} (LiE {sym_l})  "
+            f"L = {a.l_type.render(case.display_aliases)} | "
+            f"V = {a.v_type.render(case.display_aliases)}  "
+            f"step6 {a.step6_count}  {'pass' if ok else 'FAIL'}"
+        )
+    passed = sum(1 for c in cases if c["ok"])
+    lines.append(f"{passed}/{len(cases)} cases pass")
+    obj = {"cases": cases, "passed": passed, "total": len(cases)}
+    return obj, lines, EXIT_OK if passed == len(cases) else EXIT_MISMATCH
 
 
 _RUNNERS = {
@@ -305,23 +251,25 @@ _RUNNERS = {
 }
 
 
-def run(cmd: Command) -> int:
-    """Dispatch one parsed command; returns the process exit code."""
+def run(ns: argparse.Namespace) -> int:
+    """Run one parsed invocation, print its report; return the exit code."""
     try:
-        return _RUNNERS[cmd.verb](cmd)
+        obj, lines, code = _RUNNERS[ns.verb](ns)
     except (InvalidTypeError, GradingError, GoldenDataError, ValueError) as exc:
-        sys.stderr.write(f"quatforms {cmd.verb}: error: {exc}\n")
+        sys.stderr.write(f"quatforms {ns.verb}: error: {exc}\n")
         return EXIT_USAGE
+    text = json.dumps(obj, indent=2) if ns.json else "\n".join(lines)
+    sys.stdout.write(text + "\n")
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        cmd = parse_command(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with its own code on usage errors / --help
         return int(exc.code) if exc.code is not None else EXIT_OK
-    return run(cmd)
+    return run(ns)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ pairs nontrivially with the element) and dim_C S equals dim_H M.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .involution import ToralElement, centralizer, pairing
@@ -40,6 +39,19 @@ class ComplexFormAnalysis:
     def is_complex_form(self) -> bool:
         return self.verdict == COMPLEX_FORM
 
+    def to_json(self) -> dict:
+        return {
+            "ambient": self.ambient,
+            "sym": self.sym.to_json(),
+            "l_type": self.l_type.to_json(),
+            "v_type": self.v_type.to_json(),
+            "s_count": self.dim_s,
+            "m_count": self.m_count,
+            "circle_ok": self.circle_ok,
+            "step6_count": self.step6_count,
+            "verdict": self.verdict,
+        }
+
 
 def step6_count(rs: RootSystem, gd: GradedDecomposition, s_pos: tuple[Root, ...]) -> int:
     """Row-count surplus of [s, highest - s, m] over m after deduplication.
@@ -49,8 +61,8 @@ def step6_count(rs: RootSystem, gd: GradedDecomposition, s_pos: tuple[Root, ...]
     roots of m; the count is the number of distinct rows beyond |m|.  A
     nonzero value flags s as failing to be maximal totally complex.
     """
-    m_set = set(gd.m_pos)
-    assert set(s_pos) <= m_set, "s_pos must consist of grade-1 positive roots"
+    if not set(s_pos) <= set(gd.m_pos):
+        raise ValueError("s_pos must consist of grade-1 positive roots")
     theta = rs.highest_root
     rows = list(s_pos) + [_vsub(theta, beta) for beta in s_pos] + list(gd.m_pos)
     return len(set(rows)) - len(gd.m_pos)
@@ -87,30 +99,8 @@ def analyze(
     )
 
 
-def analysis_to_json_obj(a: ComplexFormAnalysis) -> dict:
-    return {
-        "ambient": a.ambient,
-        "sym": {
-            "coords": list(a.sym.coords),
-            "denom": a.sym.denom,
-            "basis": a.sym.basis,
-        },
-        "l_type": a.l_type.to_json(),
-        "v_type": a.v_type.to_json(),
-        "s_count": a.dim_s,
-        "m_count": a.m_count,
-        "circle_ok": a.circle_ok,
-        "step6_count": a.step6_count,
-        "verdict": a.verdict,
-    }
-
-
-def render_report(a: ComplexFormAnalysis, format: str = "text") -> str:
-    """Serialize an analysis deterministically as text or JSON."""
-    if format == "json":
-        return json.dumps(analysis_to_json_obj(a), indent=2)
-    if format != "text":
-        raise ValueError(f"unknown report format {format!r}")
+def render_report(a: ComplexFormAnalysis) -> str:
+    """The analysis as a deterministic text report; ``a.to_json()`` is its JSON form."""
     lines = [
         f"ambient: {a.ambient}",
         f"sym: {a.sym.describe()}",

@@ -52,6 +52,9 @@ class ToralElement:
             + f" (denom {self.denom}, {self.basis} basis)"
         )
 
+    def to_json(self) -> dict:
+        return {"coords": list(self.coords), "denom": self.denom, "basis": self.basis}
+
 
 def _coweight_coords(rs: RootSystem, t: ToralElement) -> tuple[int, ...]:
     """Coordinates of t in the coweight basis.

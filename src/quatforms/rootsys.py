@@ -231,14 +231,16 @@ def build_root_system(t: SimpleType) -> RootSystem:
     pos = _generate_positive_roots(cartan)
     highest = pos[-1]
     top_height = sum(highest)
-    assert sum(1 for r in pos if sum(r) == top_height) == 1, "highest root not unique"
+    if sum(1 for r in pos if sum(r) == top_height) != 1:
+        raise RuntimeError(f"highest root of {t.label} is not unique")
     rs = RootSystem(
         type=t,
         cartan=cartan,
         positive_roots=tuple(pos),
         highest_root=highest,
     )
-    assert all(not rs.is_root(_vadd(highest, s)) for s in rs.simple_roots)
+    if any(rs.is_root(_vadd(highest, s)) for s in rs.simple_roots):
+        raise RuntimeError(f"highest root of {t.label} plus a simple root is a root")
     return rs
 
 
@@ -325,15 +327,18 @@ def quaternionic_decomposition(rs: RootSystem) -> GradedDecomposition:
     grade2: list[Root] = []
     for alpha in rs.positive_roots:
         g = grade(rs, nodes, alpha)
-        assert 0 <= g <= 2, f"grade {g} out of range for {alpha}"
+        if not 0 <= g <= 2:
+            raise RuntimeError(f"grade {g} out of range for {alpha}")
         if g == 1:
             m_pos.append(alpha)
         else:
             k_pos.append(alpha)
             if g == 2:
                 grade2.append(alpha)
-    assert grade2 == [rs.highest_root], "grade-2 part is not the highest root alone"
-    assert len(m_pos) % 2 == 0
+    if grade2 != [rs.highest_root]:
+        raise RuntimeError("grade-2 part is not the highest root alone")
+    if len(m_pos) % 2:
+        raise RuntimeError(f"grade-1 part has odd size {len(m_pos)}")
     return GradedDecomposition(
         node_set=nodes,
         k_pos=tuple(k_pos),

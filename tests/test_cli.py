@@ -161,6 +161,8 @@ def _bad_rank_golden(where, value):
         "table_dim_h": 2,
     }
     text = json.dumps([entry])
+    if where == "ambient":
+        return text.replace('"ambient": "G2"', f'"ambient": "{value}"')
     if where == "rank":
         return text.replace('"rank": 1}', f'"rank": {value}}}', 1)
     return text.replace('"torus_rank": 2', f'"torus_rank": {value}', 1)
@@ -173,17 +175,28 @@ def _bad_rank_golden(where, value):
         _bad_rank_golden("rank", "1e400"),
         _bad_rank_golden("rank", "true"),
         _bad_rank_golden("torus_rank", "2.7"),
+        _bad_rank_golden("ambient", "Z9"),
+        b'[{"label": "\xff"}]',
     ],
-    ids=["deep-nesting", "rank-overflow", "rank-bool", "torus-rank-float"],
+    ids=[
+        "deep-nesting", "rank-overflow", "rank-bool", "torus-rank-float",
+        "unknown-ambient", "not-utf8",
+    ],
 )
 def test_classify_malformed_golden_exits_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     code = main(["classify", "G2", "--golden", str(path)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("quatforms classify: error:")
     assert "Traceback" not in err
+    assert str(path) in err
+    if "Z9" in str(text):
+        assert f"{path}, entry 0" in err
 
 
 def test_table(capsys):

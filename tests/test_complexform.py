@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quatforms
 from quatforms import (
     CartanType,
     ToralElement,
@@ -14,7 +19,6 @@ from quatforms import (
     render_report,
     step6_count,
 )
-from quatforms.complexform import analysis_to_json_obj
 from quatforms.involution import centralizer
 
 from oracles import disjoint_cover_ok
@@ -63,8 +67,32 @@ def test_step6_count_empty_and_full():
 
 def test_step6_count_rejects_non_m_rows():
     rs, gd = _setup("G2")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="grade-1"):
         step6_count(rs, gd, ((1, 0),))  # grade-0 root is not in m+
+
+
+def test_step6_count_rejects_non_m_rows_under_optimize():
+    """The input check is not an assert: it still raises under python -O."""
+    src = str(Path(quatforms.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "from quatforms import build_root_system, parse_type, "
+        "quaternionic_decomposition, step6_count\n"
+        "rs = build_root_system(parse_type('G2'))\n"
+        "gd = quaternionic_decomposition(rs)\n"
+        "try:\n"
+        "    step6_count(rs, gd, ((1, 0),))\n"
+        "except ValueError:\n"
+        "    print('raised')\n"
+        "else:\n"
+        "    print('returned')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
 
 
 def test_disjoint_cover_on_worked_case():
@@ -91,7 +119,7 @@ def test_parity_lemma_on_worked_case():
 def test_render_text_report_worked_case():
     rs, gd = _setup("E8")
     a = analyze(rs, gd, ToralElement((0,) * 7 + (1,), 2, "coroot"))
-    text = render_report(a, "text")
+    text = render_report(a)
     assert "L = E7 A1" in text
     assert "V = E6 T1 T1" in text
     assert text.endswith("verdict: complex form")
@@ -100,7 +128,7 @@ def test_render_text_report_worked_case():
 def test_render_text_report_names_failed_criteria():
     rs, gd = _setup("G2")
     a = analyze(rs, gd, ToralElement((0, 0), 2, "coroot"))
-    text = render_report(a, "text")
+    text = render_report(a)
     assert "circle test failed" in text
     assert "dimension test failed" in text
 
@@ -108,20 +136,13 @@ def test_render_text_report_names_failed_criteria():
 def test_render_json_report_schema_fields():
     rs, gd = _setup("E8")
     a = analyze(rs, gd, ToralElement((0,) * 7 + (1,), 2, "coroot"))
-    obj = json.loads(render_report(a, "json"))
+    obj = json.loads(json.dumps(a.to_json()))
     assert obj["step6_count"] == 0
     assert obj["s_count"] == 28
     assert obj["m_count"] == 56
     assert obj["verdict"] == "complex-form"
     assert obj["sym"] == {"coords": [0, 0, 0, 0, 0, 0, 0, 1], "denom": 2, "basis": "coroot"}
-    assert obj == analysis_to_json_obj(a)
-
-
-def test_render_rejects_unknown_format():
-    rs, gd = _setup("G2")
-    a = analyze(rs, gd, ToralElement((0, 1), 2, "coroot"))
-    with pytest.raises(ValueError, match="format"):
-        render_report(a, "yaml")
+    assert obj == a.to_json()
 
 
 def test_grade1_mirror_stays_in_m(rs_of):
