@@ -3,7 +3,13 @@
 Every inner involution of a simply connected compact simple group is
 conjugate to exp(pi*i*h) with h a coweight, and only h mod 2 matters to
 root pairings, so the coweight-basis vectors in {0,1}^rank with
-denominator 2 exhaust the candidates.  Each candidate is analyzed, the
+denominator 2 exhaust the candidates.  The Weyl group W_K of the isotropy
+group K (generated by the simple reflections off the node set and by the
+highest-root reflection) preserves k and m and sends the highest root to
+its negative or itself, so the (L, V) types and the verdict are constant
+on each W_K-orbit of candidates (Helgason, Differential Geometry, Lie
+Groups, and Symmetric Spaces, ch. X).  One representative per orbit, its
+lex-smallest member, is analyzed and stands for the whole orbit.  The
 complex forms are deduplicated by their (L, V) Cartan-type pair (isometric
 forms are equivalent under the isotropy group, and no two registry entries
 of one ambient type share a key), and the surviving set is compared to the
@@ -27,10 +33,12 @@ from typing import Iterable
 from .complexform import analyze
 from .involution import COWEIGHT, ToralElement, centralizer_roots, pairing
 from .rootsys import (
+    GradedDecomposition,
     GradingError,
     InvalidTypeError,
     RootSystem,
     SimpleType,
+    pairing_with_coroot,
     parse_type,
     quaternionic_decomposition,
 )
@@ -422,6 +430,56 @@ def enumerate_involutions(rs: RootSystem) -> list[ToralElement]:
     ]
 
 
+def wk_orbits(
+    rs: RootSystem, gd: GradedDecomposition
+) -> list[tuple[tuple[int, ...], ...]]:
+    """W_K-orbits on the mod-2 coweight candidates, each sorted in lex order.
+
+    The orbits come in the lex order of their smallest members and together
+    hold all 2^rank candidates once.  A reflection s_beta moves the
+    coweight coordinates c to c - (c . beta) (<alpha_j, beta-check>)_j, so
+    mod 2 it adds that column exactly when c . beta is odd.  The generators
+    are s_i for the simple roots off the node set (column A[j][i]) and
+    s_theta for the highest root.
+    """
+    n = rs.rank
+    theta = rs.highest_root
+
+    def mask(bits) -> int:
+        # Coordinate 0 is the most significant bit, so integer order is lex order.
+        return sum(1 << (n - 1 - j) for j, b in enumerate(bits) if b % 2)
+
+    gens = [
+        (1 << (n - 1 - i), mask(rs.cartan[j][i] for j in range(n)))
+        for i in range(n)
+        if i + 1 not in gd.node_set
+    ]
+    gens.append(
+        (mask(theta), mask(pairing_with_coroot(rs, a, theta) for a in rs.simple_roots))
+    )
+    seen = bytearray(1 << n)
+    orbits = []
+    for start in range(1 << n):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        members = [start]
+        for x in members:
+            for beta, column in gens:
+                if (x & beta).bit_count() % 2:
+                    y = x ^ column
+                    if not seen[y]:
+                        seen[y] = 1
+                        members.append(y)
+        orbits.append(
+            tuple(
+                tuple((x >> (n - 1 - j)) & 1 for j in range(n))
+                for x in sorted(members)
+            )
+        )
+    return orbits
+
+
 @dataclass(frozen=True)
 class FoundForm:
     """One deduplicated complex form, with a reproducing witness element."""
@@ -478,11 +536,16 @@ class ClassificationReport:
 def classify_equal_rank(
     rs: RootSystem, golden_path: str | None = None
 ) -> ClassificationReport:
-    """Scan all involution candidates, dedupe the forms, diff the registry.
+    """Scan one candidate per W_K-orbit, dedupe the forms, diff the registry.
 
-    Candidates failing the circle or dimension criterion are rejected on
-    those raw counts without building their full analysis; the analysis
-    criteria are exactly the same two tests, so the survivors coincide.
+    Each orbit's lex-smallest member is screened and, if it passes, analyzed;
+    its verdict and (L, V) pair hold for the whole orbit, whose size is added
+    to the form's multiplicity.  Representatives come in lex order, so a
+    form's witness is its lex-smallest candidate, and ``candidates`` still
+    counts all 2^rank of them.  Representatives failing the circle or
+    dimension criterion are rejected on those raw counts without building
+    their full analysis; the analysis criteria are exactly the same two
+    tests, so the survivors coincide.
     """
     gd = quaternionic_decomposition(rs)
     theta = rs.highest_root
@@ -492,8 +555,9 @@ def classify_equal_rank(
     witnesses: dict[tuple[CartanType, CartanType], ToralElement] = {}
     counts: dict[tuple[CartanType, CartanType], int] = {}
     n_candidates = 0
-    for t in enumerate_involutions(rs):
-        n_candidates += 1
+    for orbit in wk_orbits(rs, gd):
+        n_candidates += len(orbit)
+        t = ToralElement(orbit[0], 2, COWEIGHT)
         if pairing(rs, t, theta) == 0:
             continue
         cent = centralizer_roots(rs, t)
@@ -510,7 +574,7 @@ def classify_equal_rank(
             witnesses[key] = t
             counts[key] = 0
             found_order.append(key)
-        counts[key] += 1
+        counts[key] += len(orbit)
 
     found = [
         FoundForm(k[0], k[1], witnesses[k], counts[k])

@@ -3,6 +3,8 @@
 The root and pairing oracles work from the Cartan matrix alone and share no
 code with the root-string generator and root-string pairing in
 quatforms.rootsys; the base and cover oracles work from plain root sets.
+The classification oracle analyzes every candidate instead of one per
+W_K-orbit.
 """
 
 from __future__ import annotations
@@ -138,3 +140,84 @@ def length_pairing(cartan):
         return int(val)
 
     return pairing
+
+
+def brute_force_classify(rs, golden_path=None):
+    """classify_equal_rank by screening and analyzing all 2^rank candidates.
+
+    No orbit reduction: every candidate passing the circle and dimension
+    screens is analyzed and counted once, and the first (lex-smallest)
+    candidate of each (L, V) pair is its witness.  The registry diff repeats
+    the package's, so the report's to_json() must equal the orbit scan's.
+    """
+    from quatforms.classify import (
+        ClassificationReport,
+        FoundForm,
+        GoldenDataError,
+        enumerate_involutions,
+        golden_for_type,
+    )
+    from quatforms.complexform import analyze
+    from quatforms.involution import centralizer_roots, pairing
+    from quatforms.rootsys import quaternionic_decomposition
+
+    gd = quaternionic_decomposition(rs)
+    theta = rs.highest_root
+    m_set = set(gd.m_pos)
+
+    found_order = []
+    witnesses = {}
+    counts = {}
+    n_candidates = 0
+    for t in enumerate_involutions(rs):
+        n_candidates += 1
+        if pairing(rs, t, theta) == 0:
+            continue
+        cent = centralizer_roots(rs, t)
+        if sum(1 for a in m_set if a in cent) != gd.quaternionic_dim:
+            continue
+        a = analyze(rs, gd, t)
+        if not a.is_complex_form or a.step6_count != 0:
+            raise RuntimeError(
+                f"fast screen disagrees with full analysis at {t.describe()}: "
+                f"verdict {a.verdict}, step6 count {a.step6_count}"
+            )
+        key = (a.l_type, a.v_type)
+        if key not in witnesses:
+            witnesses[key] = t
+            counts[key] = 0
+            found_order.append(key)
+        counts[key] += 1
+
+    found = [
+        FoundForm(k[0], k[1], witnesses[k], counts[k])
+        for k in sorted(found_order, key=lambda k: (k[0].render(), k[1].render()))
+    ]
+
+    try:
+        golden, have_baseline = golden_for_type(rs.type, golden_path)
+    except GoldenDataError:
+        if golden_path:
+            raise
+        golden, have_baseline = [], False
+
+    expected = [e for e in golden if e.equal_rank]
+    skipped = [e for e in golden if not e.equal_rank]
+    if have_baseline:
+        found_keys = {f.key for f in found}
+        expected_keys = {e.key for e in expected}
+        missing = [e for e in expected if e.key not in found_keys]
+        unexpected = [f for f in found if f.key not in expected_keys]
+    else:
+        missing, unexpected = [], []
+
+    return ClassificationReport(
+        ambient=rs.type,
+        found=found,
+        expected_equal_rank=expected,
+        missing=missing,
+        unexpected=unexpected,
+        skipped_unequal_rank=skipped,
+        no_golden_baseline=not have_baseline,
+        candidates=n_candidates,
+    )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import product
 
 import pytest
 
@@ -20,7 +21,10 @@ from quatforms import (
     parse_type,
     quaternionic_decomposition,
 )
-from quatforms.classify import load_bundled_exceptional
+from quatforms.classify import load_bundled_exceptional, wk_orbits
+
+from conftest import CLASSIFY_LABELS, GRADED_LABELS
+from oracles import brute_force_classify
 
 
 def _rs(label):
@@ -133,6 +137,48 @@ def test_conjugation_stability_under_diagram_automorphisms(label):
         b = analyze(rs, gd, image)
         assert b.is_complex_form
         assert (b.l_type, b.v_type) == (a.l_type, a.v_type)
+
+
+# ---------------------------------------------------------------------------
+# W_K-orbit scan
+# ---------------------------------------------------------------------------
+
+
+_ORBIT_COUNTS = {
+    "G2": 3, "F4": 5, "E6": 6, "E7": 8, "E8": 6,
+    "A8": 12, "B9": 24, "C7": 8, "D9": 14,
+    "A10": 15, "B10": 27, "C10": 11, "D10": 18,
+}
+
+
+@pytest.mark.parametrize("label", CLASSIFY_LABELS)
+def test_orbit_scan_matches_brute_force(label):
+    """Found forms, witnesses, multiplicities and candidates equal the full scan."""
+    rs = _rs(label)
+    assert classify_equal_rank(rs).to_json() == brute_force_classify(rs).to_json()
+
+
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_wk_orbits_partition_the_candidates(label):
+    rs = _rs(label)
+    orbits = wk_orbits(rs, quaternionic_decomposition(rs))
+    members = sorted(c for orbit in orbits for c in orbit)
+    assert members == list(product((0, 1), repeat=rs.rank))  # all 2^rank, once each
+    assert all(list(orbit) == sorted(orbit) for orbit in orbits)
+    reps = [orbit[0] for orbit in orbits]
+    assert reps == sorted(reps)
+    if label in _ORBIT_COUNTS:
+        assert len(orbits) == _ORBIT_COUNTS[label]
+
+
+@pytest.mark.parametrize("label", ["A10", "B10", "C10", "D10"])
+def test_orbit_members_analyze_alike(label):
+    """Each orbit's lex-largest member has its representative's L, V and verdict."""
+    rs = _rs(label)
+    gd = quaternionic_decomposition(rs)
+    for orbit in wk_orbits(rs, gd):
+        rep, far = (analyze(rs, gd, ToralElement(c, 2, "coweight")) for c in (orbit[0], orbit[-1]))
+        assert (far.l_type, far.v_type, far.verdict) == (rep.l_type, rep.v_type, rep.verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,53 @@ def test_classify_malformed_golden_exits_2(tmp_path, capsys, text):
         assert f"{path}, entry 0" in err
 
 
+_E8_SYM = "0,0,0,0,0,0,0,1"
+
+
+@pytest.mark.parametrize("denom", ["0", "-3"])
+def test_analyze_nonpositive_denominator_exits_2(capsys, denom):
+    code = main(["analyze", "E8", "--sym", _E8_SYM, "--denom", denom])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "quatforms analyze: error: denominator must be a positive integer\n"
+
+
+def test_analyze_reduces_large_and_negative_coordinates(capsys):
+    code = main(["analyze", "E8", "--sym=-1,0,0,0,0,0,0,99999999999999999999"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "sym: 1,0,0,0,0,0,0,1 (denom 2, coroot basis)" in captured.out
+    assert captured.err == ""
+
+
+def test_analyze_negative_sym_needs_equals_sign(capsys):
+    """argparse reads a leading '-' as an option, so '--sym -1,...' lacks its value."""
+    code = main(["analyze", "E8", "--sym", "-1,0,0,0,0,0,0,1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "argument --sym: expected one argument" in err
+    assert "Traceback" not in err
+
+
+def test_classify_colliding_golden_exits_2(tmp_path, capsys):
+    (entry,) = json.loads(_bad_rank_golden("rank", "1"))  # rank 1 keeps it valid
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps([entry, {**entry, "label": "4x"}]), encoding="utf-8")
+    code = main(["classify", "G2", "--golden", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"quatforms classify: error: {path}: entries 4 and 4x of G2 share")
+    assert "Traceback" not in err
+
+
+def test_classify_golden_directory_exits_2(tmp_path, capsys):
+    code = main(["classify", "G2", "--golden", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"quatforms classify: error: cannot read golden file {tmp_path}")
+    assert "Traceback" not in err
+
+
 def test_table(capsys):
     code, out = _run(capsys, "table")
     assert code == 0
