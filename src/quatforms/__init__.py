@@ -15,7 +15,6 @@ from .rootsys import (
     RootSystem,
     SimpleType,
     build_root_system,
-    coroot_pairing,
     grade,
     node_set,
     parse_type,
@@ -47,7 +46,6 @@ from .classify import (
     GoldenDataError,
     GoldenEntry,
     classify_equal_rank,
-    enumerate_involutions,
     generate_classical,
     golden_for_type,
     load_golden,
@@ -81,8 +79,6 @@ __all__ = [
     "centralizer",
     "classify_equal_rank",
     "convert_to_coweight",
-    "coroot_pairing",
-    "enumerate_involutions",
     "generate_classical",
     "golden_for_type",
     "grade",

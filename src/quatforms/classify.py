@@ -27,14 +27,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from itertools import product
 from typing import Iterable
 
 from .complexform import analyze
 from .involution import COWEIGHT, ToralElement, centralizer_roots, pairing
 from .rootsys import (
     GradedDecomposition,
-    GradingError,
     InvalidTypeError,
     RootSystem,
     SimpleType,
@@ -412,22 +410,6 @@ def golden_for_type(
 # ---------------------------------------------------------------------------
 # Enumeration and classification
 # ---------------------------------------------------------------------------
-
-
-def enumerate_involutions(rs: RootSystem) -> list[ToralElement]:
-    """All 2^rank coweight-basis candidates with denominator 2, in lex order.
-
-    Includes the zero element; downstream analysis rejects it (the highest
-    root pairs to zero with it).
-    """
-    if rs.rank < 2:
-        raise GradingError(
-            f"no quaternionic node grading for {rs.type.label} (rank 1)"
-        )
-    return [
-        ToralElement(coords, 2, COWEIGHT)
-        for coords in product((0, 1), repeat=rs.rank)
-    ]
 
 
 def wk_orbits(

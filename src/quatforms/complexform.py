@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .involution import ToralElement, centralizer, pairing
-from .rootsys import GradedDecomposition, Root, RootSystem, grade, _vsub
+from .rootsys import GradedDecomposition, Root, RootSystem, grade
 from .subsys import CartanType, Subsystem, recognize
 
 COMPLEX_FORM = "complex-form"
@@ -59,13 +59,17 @@ def step6_count(rs: RootSystem, gd: GradedDecomposition, s_pos: tuple[Root, ...]
     The rows are the positive roots of s, the highest root minus each of
     them (kept even when the difference is not a root), and the positive
     roots of m; the count is the number of distinct rows beyond |m|.  A
-    nonzero value flags s as failing to be maximal totally complex.
+    nonzero value flags s as failing to be maximal totally complex.  Rows
+    are compared as packed root codes.
     """
     if not set(s_pos) <= set(gd.m_pos):
         raise ValueError("s_pos must consist of grade-1 positive roots")
-    theta = rs.highest_root
-    rows = list(s_pos) + [_vsub(theta, beta) for beta in s_pos] + list(gd.m_pos)
-    return len(set(rows)) - len(gd.m_pos)
+    codes = rs._codes
+    theta = codes[rs.highest_root]
+    rows = {codes[beta] for beta in s_pos}
+    rows.update(theta - codes[beta] for beta in s_pos)
+    rows.update(codes[beta] for beta in gd.m_pos)
+    return len(rows) - len(gd.m_pos)
 
 
 def analyze(

@@ -42,10 +42,6 @@ class ToralElement:
             self, "coords", tuple(c % self.denom for c in self.coords)
         )
 
-    @property
-    def is_identity(self) -> bool:
-        return self.denom == 1 or not any(self.coords)
-
     def describe(self) -> str:
         return (
             ",".join(str(c) for c in self.coords)

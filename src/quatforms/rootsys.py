@@ -6,6 +6,14 @@ this package are 1-based Bourbaki indices.  Cartan pairings of two roots
 are read off root strings inside the root set, so all arithmetic stays on
 integer coefficient vectors; no root lengths are stored.
 
+Roots are tuples at every API; inside the hot loops (root generation, root
+strings, subsystem closure, step6 rows) each root is packed into one int,
+the balanced base-32 code sum(c_j * 32**j).  The code is linear, so sums
+and differences of roots become int additions, and it is injective on
+vectors with |c_j| <= 15.  Every root coefficient is checked to satisfy
+|c| <= 7 (E8's highest root has 6), so every sum or difference of two
+roots, and every step of a root-string walk, keeps its code unique.
+
 The highest root defines a grading by its attach node(s) in the extended
 diagram: grade 1 cuts out the tangent part of the quaternionic symmetric
 space attached to the algebra, grade 0 and 2 its isotropy part.
@@ -139,16 +147,26 @@ def _cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def _vadd(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
+# Packed root codes: c_1 + 32 c_2 + ... + 32^(n-1) c_n, unique for |c_j| <= 15.
+_CODE_BASE = 32
+_COEFF_BOUND = 7
 
 
-def _vsub(a: Root, b: Root) -> Root:
-    return tuple(x - y for x, y in zip(a, b))
+def _encode(v: Root) -> int:
+    code = 0
+    for c in reversed(v):
+        code = code * _CODE_BASE + c
+    return code
 
 
-def _vneg(a: Root) -> Root:
-    return tuple(-x for x in a)
+def _check_coefficient_bound(label: str, roots) -> None:
+    """Refuse roots whose packed codes could collide once added or subtracted."""
+    for r in roots:
+        if any(abs(c) > _COEFF_BOUND for c in r):
+            raise RuntimeError(
+                f"root {r} of {label} has a coefficient beyond +-{_COEFF_BOUND}; "
+                "packed root codes would not be unique"
+            )
 
 
 def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
@@ -157,31 +175,33 @@ def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
     Working height by height, alpha + alpha_i is adjoined exactly when the
     alpha_i-string through alpha does not stop at alpha: with p the largest
     k such that alpha - k*alpha_i is a root, the string extends upward by
-    q = p - <alpha, alpha_i-check> steps.
+    q = p - <alpha, alpha_i-check> steps.  The string is walked on packed
+    codes, where alpha_i is the step 32^(i-1).
     """
     n = len(cartan)
-    simples: list[Root] = [
-        tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-    ]
-    known: set[Root] = set(simples)
-    layer = list(simples)
+    steps = [_CODE_BASE**i for i in range(n)]
+    known: dict[int, Root] = {
+        steps[i]: tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
+    }
+    layer = list(known.items())
     while layer:
-        next_layer: list[Root] = []
-        for alpha in layer:
-            for i, alpha_i in enumerate(simples):
+        next_layer: list[tuple[int, Root]] = []
+        for code, alpha in layer:
+            for i, step in enumerate(steps):
                 pairing = sum(alpha[j] * cartan[j][i] for j in range(n))
                 p = 0
-                beta = _vsub(alpha, alpha_i)
+                beta = code - step
                 while beta in known:
                     p += 1
-                    beta = _vsub(beta, alpha_i)
+                    beta -= step
                 if p - pairing > 0:
-                    new = _vadd(alpha, alpha_i)
-                    if new not in known:
-                        known.add(new)
-                        next_layer.append(new)
+                    up = code + step
+                    if up not in known:
+                        new = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+                        known[up] = new
+                        next_layer.append((up, new))
         layer = next_layer
-    return sorted(known, key=lambda r: (sum(r), r))
+    return sorted(known.values(), key=lambda r: (sum(r), r))
 
 
 @dataclass(frozen=True)
@@ -205,8 +225,22 @@ class RootSystem:
     def root_set(self) -> frozenset[Root]:
         """All roots, positive and negative."""
         return frozenset(self.positive_roots) | frozenset(
-            _vneg(r) for r in self.positive_roots
+            tuple(-x for x in r) for r in self.positive_roots
         )
+
+    @cached_property
+    def _codes(self) -> dict[Root, int]:
+        """Packed code of every root; a negative root has the negated code."""
+        codes = {}
+        for r in self.positive_roots:
+            c = _encode(r)
+            codes[r] = c
+            codes[tuple(-x for x in r)] = -c
+        return codes
+
+    @cached_property
+    def _code_set(self) -> frozenset[int]:
+        return frozenset(self._codes.values())
 
     @cached_property
     def simple_roots(self) -> tuple[Root, ...]:
@@ -229,6 +263,7 @@ def build_root_system(t: SimpleType) -> RootSystem:
     """
     cartan = _cartan_matrix(t)
     pos = _generate_positive_roots(cartan)
+    _check_coefficient_bound(t.label, pos)
     highest = pos[-1]
     top_height = sum(highest)
     if sum(1 for r in pos if sum(r) == top_height) != 1:
@@ -239,7 +274,8 @@ def build_root_system(t: SimpleType) -> RootSystem:
         positive_roots=tuple(pos),
         highest_root=highest,
     )
-    if any(rs.is_root(_vadd(highest, s)) for s in rs.simple_roots):
+    top = rs._codes[highest]
+    if any(top + _CODE_BASE**i in rs._code_set for i in range(rs.rank)):
         raise RuntimeError(f"highest root of {t.label} plus a simple root is a root")
     return rs
 
@@ -249,34 +285,30 @@ def pairing_with_coroot(rs: RootSystem, a: Root, b: Root) -> int:
 
     For b != +-a the b-string through a runs unbroken from a - p*b to
     a + q*b, and <a, b-check> = p - q (Humphreys, Introduction to Lie
-    Algebras and Representation Theory, 9.4).
+    Algebras and Representation Theory, 9.4).  Both walks run on packed
+    root codes.
     """
-    roots = rs.root_set
-    for r in (a, b):
-        if r not in roots:
+    codes = rs._codes
+    ca, cb = codes.get(a), codes.get(b)
+    for r, c in ((a, ca), (b, cb)):
+        if c is None:
             raise ValueError(f"{r} is not a root of {rs.type.label}")
-    if a == b:
+    if ca == cb:
         return 2
-    if a == _vneg(b):
+    if ca == -cb:
         return -2
+    roots = rs._code_set
     p = 0
-    v = _vsub(a, b)
+    v = ca - cb
     while v in roots:
         p += 1
-        v = _vsub(v, b)
+        v -= cb
     q = 0
-    v = _vadd(a, b)
+    v = ca + cb
     while v in roots:
         q += 1
-        v = _vadd(v, b)
+        v += cb
     return p - q
-
-
-def coroot_pairing(rs: RootSystem, alpha: Root, i: int) -> int:
-    """Cartan pairing <alpha, alpha_i-check> for a root alpha, i 1-based."""
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
-    return pairing_with_coroot(rs, alpha, rs.simple_roots[i - 1])
 
 
 def node_set(rs: RootSystem) -> frozenset[int]:

@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .rootsys import (
-    Root,
-    RootSystem,
-    SimpleType,
-    pairing_with_coroot,
-    _vadd,
-    _vneg,
-    _vsub,
-)
+from .rootsys import Root, RootSystem, SimpleType, pairing_with_coroot
 
 
 class NotClosedError(ValueError):
@@ -42,6 +34,12 @@ def _is_positive(r: Root) -> bool:
     return sum(r) > 0
 
 
+def _missing(a: Root, op: str, b: Root) -> NotClosedError:
+    """The error for a sum or difference a op b that the set lacks."""
+    v = tuple(x + y if op == "+" else x - y for x, y in zip(a, b))
+    return NotClosedError(f"not a closed subsystem: {a} {op} {b} = {v} is missing")
+
+
 @dataclass(frozen=True)
 class Subsystem:
     """A symmetric, closed set of roots inside an ambient root system.
@@ -55,41 +53,45 @@ class Subsystem:
     base: tuple[Root, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ambient_set = self.ambient.root_set
-        for r in self.roots:
-            if r not in ambient_set:
-                raise NotClosedError(f"{r} is not a root of {self.ambient.type.label}")
-            if _vneg(r) not in self.roots:
+        # Every loop runs on packed root codes (see rootsys); root tuples
+        # are only rebuilt for an error message.
+        ambient = self.ambient
+        get_code = ambient._codes.get
+        codes = [get_code(r) for r in self.roots]
+        code_set = set(codes)
+        for r, c in zip(self.roots, codes):
+            if c is None:
+                raise NotClosedError(f"{r} is not a root of {ambient.type.label}")
+            if -c not in code_set:
                 raise NotClosedError(f"not symmetric: missing negative of {r}")
         # Closure under addition.  For a symmetric set it is enough to check
         # sums and differences of positive members; the positive members
         # that are no such sum form the base.
+        ambient_codes = ambient._code_set
         pos = self.positive_roots
+        pos_codes = [get_code(r) for r in pos]
         decomposable = set()
-        for i, a in enumerate(pos):
-            for b in pos[i + 1 :]:
-                s = _vadd(a, b)
-                if s in ambient_set:
-                    if s not in self.roots:
-                        raise NotClosedError(
-                            f"not a closed subsystem: {a} + {b} = {s} is missing"
-                        )
+        for i, a in enumerate(pos_codes):
+            for b in pos_codes[i + 1 :]:
+                s = a + b
+                if s in ambient_codes:
+                    if s not in code_set:
+                        raise _missing(pos[i], "+", pos[pos_codes.index(b, i + 1)])
                     decomposable.add(s)
-                d = _vsub(a, b)
-                if d in ambient_set and d not in self.roots:
-                    raise NotClosedError(
-                        f"not a closed subsystem: {a} - {b} = {d} is missing"
-                    )
-        object.__setattr__(self, "base", tuple(r for r in pos if r not in decomposable))
+                d = a - b
+                if d in ambient_codes and d not in code_set:
+                    raise _missing(pos[i], "-", pos[pos_codes.index(b, i + 1)])
+        object.__setattr__(
+            self,
+            "base",
+            tuple(r for r, c in zip(pos, pos_codes) if c not in decomposable),
+        )
 
     @cached_property
     def positive_roots(self) -> tuple[Root, ...]:
         return tuple(
             sorted((r for r in self.roots if _is_positive(r)), key=lambda r: (sum(r), r))
         )
-
-    def __len__(self) -> int:
-        return len(self.roots)
 
 
 def base_of(sub: Subsystem) -> list[Root]:

@@ -4,7 +4,8 @@ The root and pairing oracles work from the Cartan matrix alone and share no
 code with the root-string generator and root-string pairing in
 quatforms.rootsys; the base and cover oracles work from plain root sets.
 The classification oracle analyzes every candidate instead of one per
-W_K-orbit.
+W_K-orbit.  coroot_pairing and enumerate_involutions are small helpers the
+package itself has no use for.
 """
 
 from __future__ import annotations
@@ -142,6 +143,35 @@ def length_pairing(cartan):
     return pairing
 
 
+def coroot_pairing(rs, alpha, i: int) -> int:
+    """Cartan pairing <alpha, alpha_i-check> for a root alpha, i 1-based."""
+    from quatforms.rootsys import pairing_with_coroot
+
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
+    return pairing_with_coroot(rs, alpha, rs.simple_roots[i - 1])
+
+
+def enumerate_involutions(rs):
+    """All 2^rank coweight-basis candidates with denominator 2, in lex order.
+
+    Includes the zero element; downstream analysis rejects it (the highest
+    root pairs to zero with it).
+    """
+    from itertools import product
+
+    from quatforms import GradingError, ToralElement
+
+    if rs.rank < 2:
+        raise GradingError(
+            f"no quaternionic node grading for {rs.type.label} (rank 1)"
+        )
+    return [
+        ToralElement(coords, 2, "coweight")
+        for coords in product((0, 1), repeat=rs.rank)
+    ]
+
+
 def brute_force_classify(rs, golden_path=None):
     """classify_equal_rank by screening and analyzing all 2^rank candidates.
 
@@ -154,7 +184,6 @@ def brute_force_classify(rs, golden_path=None):
         ClassificationReport,
         FoundForm,
         GoldenDataError,
-        enumerate_involutions,
         golden_for_type,
     )
     from quatforms.complexform import analyze

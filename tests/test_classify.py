@@ -14,7 +14,6 @@ from quatforms import (
     analyze,
     build_root_system,
     classify_equal_rank,
-    enumerate_involutions,
     generate_classical,
     golden_for_type,
     load_golden,
@@ -24,7 +23,7 @@ from quatforms import (
 from quatforms.classify import load_bundled_exceptional, wk_orbits
 
 from conftest import CLASSIFY_LABELS, GRADED_LABELS
-from oracles import brute_force_classify
+from oracles import brute_force_classify, enumerate_involutions
 
 
 def _rs(label):

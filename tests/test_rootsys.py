@@ -6,16 +6,21 @@ from quatforms import (
     GradingError,
     InvalidTypeError,
     build_root_system,
-    coroot_pairing,
     grade,
     node_set,
     parse_type,
     quaternionic_decomposition,
 )
-from quatforms.rootsys import pairing_with_coroot, roots_to_json
+from quatforms.rootsys import (
+    _COEFF_BOUND,
+    _check_coefficient_bound,
+    _encode,
+    pairing_with_coroot,
+    roots_to_json,
+)
 
 from conftest import GRADED_LABELS, SUPPORTED_LABELS
-from oracles import length_pairing, positive_part, reflection_closure
+from oracles import coroot_pairing, length_pairing, positive_part, reflection_closure
 
 
 def test_parse_type_examples():
@@ -160,6 +165,53 @@ def test_pairing_with_coroot_matches_length_oracle(label):
     for b in targets:
         for a in roots:
             assert pairing_with_coroot(rs, a, b) == oracle(a, b), (a, b)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS)
+def test_root_codes_are_linear_and_injective(label):
+    """Packed codes add and subtract like the tuples they stand for.
+
+    Every code in the table is the encoder's value and no two roots share
+    one; negation, sums and differences (computed here on tuples) map to
+    the negated, added and subtracted codes, and no two distinct vectors
+    among the roots and those formed share a code.  Same pairs as the
+    pairing oracle test.
+    """
+    rs = build_root_system(parse_type(label))
+    codes = rs._codes
+    roots = sorted(rs.root_set)
+    assert set(codes) == rs.root_set
+    assert all(codes[a] == _encode(a) for a in roots)
+    assert len(set(codes.values())) == len(roots)
+    seen = {c: r for r, c in codes.items()}
+    targets = roots if rs.rank <= 4 else rs.simple_roots + (rs.highest_root,)
+    for a in roots:
+        assert _encode(tuple(-x for x in a)) == -codes[a], a
+        for b in targets:
+            plus = tuple(x + y for x, y in zip(a, b))
+            minus = tuple(x - y for x, y in zip(a, b))
+            assert _encode(plus) == codes[a] + codes[b], (a, b)
+            assert _encode(minus) == codes[a] - codes[b], (a, b)
+            for v in (plus, minus):
+                assert seen.setdefault(_encode(v), v) == v, (a, b, v)
+
+
+def test_codes_distinct_on_sums_of_bounded_vectors():
+    """Any two vectors within the coefficient bound add or subtract to a
+    vector whose code no other such vector shares (checked on rank 3)."""
+    from itertools import product
+
+    reach = range(-2 * _COEFF_BOUND, 2 * _COEFF_BOUND + 1)
+    box = list(product(reach, repeat=3))
+    assert len({_encode(v) for v in box}) == len(box)
+
+
+def test_coefficient_bound_raises():
+    """The packed-code bound is a raise (kept under python -O), not an assert."""
+    _check_coefficient_bound("X3", [(6, 4, 2), (-7, 7, 0)])
+    for bad in ((8, 0), (0, -8)):
+        with pytest.raises(RuntimeError, match="beyond"):
+            _check_coefficient_bound("X2", [(1, 0), bad])
 
 
 def test_pairing_with_coroot_rejects_non_roots():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import random
+import re
 
 import pytest
 
@@ -159,6 +161,48 @@ def test_base_matches_oracle_on_involutions(label):
         t = ToralElement(coords, 2, "coweight")
         for sub in _centralizer_and_v_slice(rs, nodes, t):
             _assert_base_matches_oracle(sub)
+
+
+_MISSING = re.compile(
+    r"not a closed subsystem: (\(.*?\)) ([+-]) (\(.*?\)) = (\(.*?\)) is missing$"
+)
+
+
+@pytest.mark.parametrize(
+    "label", [s for s in GRADED_LABELS if parse_type(s).rank <= 6]
+)
+def test_not_closed_error_names_a_missing_sum(label):
+    """Drop one decomposable root pair from each d = 2 centralizer.
+
+    The pair named by the error must form, in tuple arithmetic, the vector
+    it names; that vector is an ambient root missing from the set (one of
+    the dropped pair) while both named roots are present.
+    """
+    from itertools import product
+
+    rs = build_root_system(parse_type(label))
+    rng = random.Random(f"not-closed-{label}")
+    checked = 0
+    for coords in product((0, 1), repeat=rs.rank):
+        cent = centralizer(rs, ToralElement(coords, 2, "coweight"))
+        decomposable = [r for r in cent.positive_roots if r not in cent.base]
+        if not decomposable:
+            continue
+        gamma = rng.choice(decomposable)
+        neg = tuple(-x for x in gamma)
+        roots = cent.roots - {gamma, neg}
+        with pytest.raises(NotClosedError) as info:
+            Subsystem(rs, roots)
+        m = _MISSING.match(str(info.value))
+        assert m, str(info.value)
+        a, op, b, v = (m.group(1), m.group(2), m.group(3), m.group(4))
+        a, b, v = ast.literal_eval(a), ast.literal_eval(b), ast.literal_eval(v)
+        sign = 1 if op == "+" else -1
+        assert tuple(x + sign * y for x, y in zip(a, b)) == v
+        assert a in roots and b in roots and v not in roots
+        assert v in (gamma, neg) and rs.is_root(v)
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("label", ["E7", "E8", "B10", "D10"])
