@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from itertools import product
 from typing import Iterable
 
 from .complexform import analyze
@@ -439,6 +440,7 @@ def wk_orbits(
     gens.append(
         (mask(theta), mask(pairing_with_coroot(rs, a, theta) for a in rs.simple_roots))
     )
+    vectors = list(product((0, 1), repeat=n))  # vectors[x] has the bits of x
     seen = bytearray(1 << n)
     orbits = []
     for start in range(1 << n):
@@ -453,12 +455,7 @@ def wk_orbits(
                     if not seen[y]:
                         seen[y] = 1
                         members.append(y)
-        orbits.append(
-            tuple(
-                tuple((x >> (n - 1 - j)) & 1 for j in range(n))
-                for x in sorted(members)
-            )
-        )
+        orbits.append(tuple(vectors[x] for x in sorted(members)))
     return orbits
 
 
@@ -531,7 +528,7 @@ def classify_equal_rank(
     """
     gd = quaternionic_decomposition(rs)
     theta = rs.highest_root
-    m_set = set(gd.m_pos)
+    m_roots = gd._m_roots
 
     found_order: list[tuple[CartanType, CartanType]] = []
     witnesses: dict[tuple[CartanType, CartanType], ToralElement] = {}
@@ -543,7 +540,8 @@ def classify_equal_rank(
         if pairing(rs, t, theta) == 0:
             continue
         cent = centralizer_roots(rs, t)
-        if sum(1 for a in m_set if a in cent) != gd.quaternionic_dim:
+        # cent is symmetric, so it meets +-m in twice its grade-1 positives.
+        if len(cent & m_roots) != 2 * gd.quaternionic_dim:
             continue
         a = analyze(rs, gd, t)
         if not a.is_complex_form or a.step6_count != 0:

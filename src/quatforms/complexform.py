@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .involution import ToralElement, centralizer, pairing
-from .rootsys import GradedDecomposition, Root, RootSystem, grade
+from .rootsys import GradedDecomposition, Root, RootSystem
 from .subsys import CartanType, Subsystem, recognize
 
 COMPLEX_FORM = "complex-form"
@@ -60,9 +60,11 @@ def step6_count(rs: RootSystem, gd: GradedDecomposition, s_pos: tuple[Root, ...]
     them (kept even when the difference is not a root), and the positive
     roots of m; the count is the number of distinct rows beyond |m|.  A
     nonzero value flags s as failing to be maximal totally complex.  Rows
-    are compared as packed root codes.
+    are compared as packed root codes; s_pos is checked against the cached
+    set of grade +-1 roots (``GradedDecomposition._m_roots``).
     """
-    if not set(s_pos) <= set(gd.m_pos):
+    m_roots = gd._m_roots
+    if not all(beta in m_roots and sum(beta) > 0 for beta in s_pos):
         raise ValueError("s_pos must consist of grade-1 positive roots")
     codes = rs._codes
     theta = codes[rs.highest_root]
@@ -75,14 +77,18 @@ def step6_count(rs: RootSystem, gd: GradedDecomposition, s_pos: tuple[Root, ...]
 def analyze(
     rs: RootSystem, gd: GradedDecomposition, t: ToralElement
 ) -> ComplexFormAnalysis:
-    """Run the full pipeline: centralizer, grade slices, criteria, verdict."""
+    """Run the full pipeline: centralizer, grade slices, criteria, verdict.
+
+    The centralizer reads the root system's parent table (see
+    ``centralizer_roots``).  The grade slices are taken by membership in
+    the cached set of grade +-1 roots (``GradedDecomposition._m_roots``):
+    s is the centralizer's positive roots inside it, v its roots outside.
+    """
     cent = centralizer(rs, t)
     l_type = recognize(cent)
-    nodes = gd.node_set
-    s_pos = tuple(
-        alpha for alpha in cent.positive_roots if grade(rs, nodes, alpha) == 1
-    )
-    v_roots = frozenset(r for r in cent.roots if grade(rs, nodes, r) % 2 == 0)
+    m_roots = gd._m_roots
+    s_pos = tuple(alpha for alpha in cent.positive_roots if alpha in m_roots)
+    v_roots = cent.roots - m_roots
     v_type = recognize(Subsystem(rs, v_roots))
     circle_ok = pairing(rs, t, rs.highest_root) != 0
     dim_s = len(s_pos)

@@ -17,6 +17,7 @@ the coweight vectors in {0,1}^rank exhaust the inner involutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .rootsys import Root, RootSystem
 from .subsys import Subsystem
@@ -88,11 +89,23 @@ def convert_to_coweight(rs: RootSystem, t: ToralElement) -> ToralElement:
 
 
 def centralizer_roots(rs: RootSystem, t: ToralElement) -> frozenset[Root]:
-    """Roots pairing to zero mod denom, as a plain set."""
+    """Roots pairing to zero mod denom, as a plain set.
+
+    The pairing c . r is linear in r, so it is built along the root
+    system's parent table (``RootSystem._parents``): c_i for each simple
+    root alpha_i, then the parent's value plus one coordinate for every
+    other positive root, in exact integers.  A negative root pairs to
+    minus its positive, so the kept positive roots bring their negatives
+    (``RootSystem._negatives``).
+    """
     c = _coweight_coords(rs, t)
     d = t.denom
-    return frozenset(
-        r for r in rs.root_set if sum(x * n for x, n in zip(c, r)) % d == 0
+    vals = list(reversed(c))  # positive_roots opens with alpha_n, ..., alpha_1
+    for p, i in rs._parents:
+        vals.append(vals[p] + c[i])
+    keep = [v % d == 0 for v in vals]
+    return frozenset(compress(rs.positive_roots, keep)) | frozenset(
+        compress(rs._negatives, keep)
     )
 
 

@@ -14,6 +14,15 @@ vectors with |c_j| <= 15.  Every root coefficient is checked to satisfy
 |c| <= 7 (E8's highest root has 6), so every sum or difference of two
 roots, and every step of a root-string walk, keeps its code unique.
 
+The code table is built from the negative roots, cached in the order of
+the positive ones.  On first use only (never at import or in
+build_root_system) a RootSystem also caches a parent table that writes
+each non-simple positive root as an earlier positive root plus one simple
+root (Humphreys, 10.2), so anything linear in the root, such as a toral
+pairing, costs one addition per positive root; and a GradedDecomposition
+caches its set of grade +-1 roots, so grade slices are set membership.
+None of these tables leaves the package.
+
 The highest root defines a grading by its attach node(s) in the extended
 diagram: grade 1 cuts out the tangent part of the quaternionic symmetric
 space attached to the algebra, grade 0 and 2 its isotropy part.
@@ -224,18 +233,44 @@ class RootSystem:
     @cached_property
     def root_set(self) -> frozenset[Root]:
         """All roots, positive and negative."""
-        return frozenset(self.positive_roots) | frozenset(
-            tuple(-x for x in r) for r in self.positive_roots
-        )
+        return frozenset(self.positive_roots) | frozenset(self._negatives)
+
+    @cached_property
+    def _negatives(self) -> tuple[Root, ...]:
+        """The negative roots, aligned with ``positive_roots``."""
+        return tuple(tuple(-x for x in r) for r in self.positive_roots)
+
+    @cached_property
+    def _parents(self) -> tuple[tuple[int, int], ...]:
+        """(p, i) for each non-simple positive root, in ``positive_roots`` order.
+
+        The root is positive_roots[p] + alpha_(i+1), and p is smaller than
+        the root's own index (the parent is one step lower).  Together with
+        the simple roots, which open ``positive_roots`` as alpha_n, ...,
+        alpha_1, the table builds any function linear in the root with one
+        addition per positive root.
+        """
+        pos = self.positive_roots
+        index = {r: k for k, r in enumerate(pos)}
+        table = []
+        for r in pos[self.rank :]:
+            for i, c in enumerate(r):
+                p = index.get(r[:i] + (c - 1,) + r[i + 1 :]) if c else None
+                if p is not None:
+                    table.append((p, i))
+                    break
+            else:
+                raise RuntimeError(f"positive root {r} is no root plus a simple root")
+        return tuple(table)
 
     @cached_property
     def _codes(self) -> dict[Root, int]:
         """Packed code of every root; a negative root has the negated code."""
         codes = {}
-        for r in self.positive_roots:
+        for r, neg in zip(self.positive_roots, self._negatives):
             c = _encode(r)
             codes[r] = c
-            codes[tuple(-x for x in r)] = -c
+            codes[neg] = -c
         return codes
 
     @cached_property
@@ -293,11 +328,15 @@ def pairing_with_coroot(rs: RootSystem, a: Root, b: Root) -> int:
     for r, c in ((a, ca), (b, cb)):
         if c is None:
             raise ValueError(f"{r} is not a root of {rs.type.label}")
+    return _string_pairing(rs._code_set, ca, cb)
+
+
+def _string_pairing(roots: frozenset[int], ca: int, cb: int) -> int:
+    """<a, b-check> from the packed codes of two roots and the code set."""
     if ca == cb:
         return 2
     if ca == -cb:
         return -2
-    roots = rs._code_set
     p = 0
     v = ca - cb
     while v in roots:
@@ -349,6 +388,14 @@ class GradedDecomposition:
     k_pos: tuple[Root, ...]
     m_pos: tuple[Root, ...]
     quaternionic_dim: int
+
+    @cached_property
+    def _m_roots(self) -> frozenset[Root]:
+        """The roots of grade +-1 (m and its negatives): a root is in this
+        set exactly when its grade is odd."""
+        return frozenset(self.m_pos) | frozenset(
+            tuple(-x for x in r) for r in self.m_pos
+        )
 
 
 def quaternionic_decomposition(rs: RootSystem) -> GradedDecomposition:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .rootsys import Root, RootSystem, SimpleType, pairing_with_coroot
+from .rootsys import Root, RootSystem, SimpleType, _string_pairing
 
 
 class NotClosedError(ValueError):
@@ -28,10 +28,6 @@ class UnclassifiableSubsystemError(RuntimeError):
     Unreachable for closed subsystems of a finite root system; raising it
     means an internal invariant was violated.
     """
-
-
-def _is_positive(r: Root) -> bool:
-    return sum(r) > 0
 
 
 def _missing(a: Root, op: str, b: Root) -> NotClosedError:
@@ -89,9 +85,9 @@ class Subsystem:
 
     @cached_property
     def positive_roots(self) -> tuple[Root, ...]:
-        return tuple(
-            sorted((r for r in self.roots if _is_positive(r)), key=lambda r: (sum(r), r))
-        )
+        """The positive members, in the ambient order (height, then lex)."""
+        roots = self.roots
+        return tuple(r for r in self.ambient.positive_roots if r in roots)
 
 
 def base_of(sub: Subsystem) -> list[Root]:
@@ -308,14 +304,16 @@ def recognize(sub: Subsystem) -> CartanType:
     this package produces).
     """
     base = sub.base
-    rank = sub.ambient.rank
+    ambient = sub.ambient
+    rank = ambient.rank
     if not base:
         return CartanType((), rank)
     k = len(base)
-    pairing = [
-        [pairing_with_coroot(sub.ambient, base[i], base[j]) for j in range(k)]
-        for i in range(k)
-    ]
+    # Base elements are roots of the ambient system, so the pairings come
+    # straight from the string walk on packed codes.
+    roots = ambient._code_set
+    codes = [ambient._codes[r] for r in base]
+    pairing = [[_string_pairing(roots, a, b) for b in codes] for a in codes]
     for i in range(k):
         for j in range(i + 1, k):
             if pairing[i][j] > 0:

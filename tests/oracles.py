@@ -3,9 +3,11 @@
 The root and pairing oracles work from the Cartan matrix alone and share no
 code with the root-string generator and root-string pairing in
 quatforms.rootsys; the base and cover oracles work from plain root sets.
-The classification oracle analyzes every candidate instead of one per
-W_K-orbit.  coroot_pairing and enumerate_involutions are small helpers the
-package itself has no use for.
+The centralizer, grade-slice and order oracles are the per-root dot
+product, grade() filters and (height, lex) sort the package replaced with
+tables cached per root system.  The classification oracle analyzes every
+candidate instead of one per W_K-orbit.  coroot_pairing and
+enumerate_involutions are small helpers the package itself has no use for.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ def regenerate_from_base(rs, base) -> frozenset[tuple[int, ...]]:
     return frozenset(current)
 
 
+def sorted_positive_roots(roots) -> tuple[tuple[int, ...], ...]:
+    """Positive members of a root set, sorted by height, then lexicographically."""
+    return tuple(sorted((r for r in roots if sum(r) > 0), key=lambda r: (sum(r), r)))
+
+
 def indecomposable_base(roots) -> list[tuple[int, ...]]:
     """Positive roots that are not the sum of two positive roots.
 
@@ -69,7 +76,7 @@ def indecomposable_base(roots) -> list[tuple[int, ...]]:
     ordered by height and then lexicographically; for a closed subsystem the
     result is its base (Humphreys, Introduction to Lie Algebras, 10.1).
     """
-    pos = sorted((r for r in roots if sum(r) > 0), key=lambda r: (sum(r), r))
+    pos = sorted_positive_roots(roots)
     pos_set = set(pos)
     sums = set()
     for i, a in enumerate(pos):
@@ -78,6 +85,36 @@ def indecomposable_base(roots) -> list[tuple[int, ...]]:
             if s in pos_set:
                 sums.add(s)
     return [r for r in pos if r not in sums]
+
+
+def centralizer_roots_by_dot(rs, t) -> frozenset[tuple[int, ...]]:
+    """Roots whose pairing with t is 0 mod denom, one dot product per root.
+
+    A coroot-basis element is first moved to the coweight basis by
+    c'_j = sum_i A[j][i] c_i, read from the Cartan matrix here; a root r
+    then pairs as c' . r.
+    """
+    n = rs.rank
+    c = t.coords
+    if t.basis == "coroot":
+        c = tuple(sum(rs.cartan[j][i] * c[i] for i in range(n)) for j in range(n))
+    return frozenset(
+        r for r in rs.root_set if sum(x * y for x, y in zip(c, r)) % t.denom == 0
+    )
+
+
+def grade_slices(rs, gd, roots):
+    """(s_pos, v_roots) of a centralizer root set, filtered by grade().
+
+    s_pos is the positive roots of grade 1 in sorted_positive_roots order,
+    v_roots the roots of even grade.
+    """
+    from quatforms.rootsys import grade
+
+    nodes = gd.node_set
+    s_pos = tuple(a for a in sorted_positive_roots(roots) if grade(rs, nodes, a) == 1)
+    v_roots = frozenset(r for r in roots if grade(rs, nodes, r) % 2 == 0)
+    return s_pos, v_roots
 
 
 def disjoint_cover_ok(rs, gd, s_pos) -> bool:

@@ -52,6 +52,11 @@ CASES = {
     "analyze_E7_denom3_json": [
         "analyze", "E7", "--sym", "1,0,0,0,0,0,0", "--denom", "3", "--json",
     ],
+    # Exact pairings at d = 1 (every root central) and at d > 2**64.
+    "analyze_G2_denom1": ["analyze", "G2", "--sym", "1,1", "--denom", "1"],
+    "analyze_G2_denom_huge": [
+        "analyze", "G2", "--sym", "1,1", "--denom", "1000000000000000000000",
+    ],
     "classify_E6": ["classify", "E6"],
     "classify_A9": ["classify", "A9"],
     "classify_G2_decoy": ["classify", "G2", "--golden", "{decoy}"],

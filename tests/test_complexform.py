@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import quatforms
+import quatforms.complexform as complexform
 from quatforms import (
     CartanType,
+    Subsystem,
     ToralElement,
     analyze,
     build_root_system,
@@ -21,7 +25,8 @@ from quatforms import (
 )
 from quatforms.involution import centralizer
 
-from oracles import disjoint_cover_ok
+from conftest import GRADED_LABELS
+from oracles import disjoint_cover_ok, grade_slices
 
 
 def _setup(label):
@@ -155,3 +160,42 @@ def test_grade1_mirror_stays_in_m(rs_of):
         for beta in gd.m_pos:
             mirror = tuple(x - y for x, y in zip(theta, beta))
             assert mirror in m_set
+
+
+def _assert_slices_match_grade_oracle(monkeypatch, rs, gd, t):
+    """analyze's s_pos and v root set equal the grade() filters.
+
+    The v root set is read from the Subsystem analyze builds for it.
+    """
+    v_sets = []
+
+    def spy(ambient, roots):
+        v_sets.append(roots)
+        return Subsystem(ambient, roots)
+
+    monkeypatch.setattr(complexform, "Subsystem", spy)
+    a = analyze(rs, gd, t)
+    s_pos, v_roots = grade_slices(rs, gd, centralizer(rs, t).roots)
+    assert a.s_pos == s_pos, t.describe()
+    assert v_sets == [v_roots], t.describe()
+
+
+@pytest.mark.parametrize(
+    "label", [s for s in GRADED_LABELS if parse_type(s).rank <= 6]
+)
+def test_analyze_slices_match_grade_oracle_on_involutions(label, monkeypatch):
+    rs, gd = _setup(label)
+    for coords in product((0, 1), repeat=rs.rank):
+        t = ToralElement(coords, 2, "coweight")
+        _assert_slices_match_grade_oracle(monkeypatch, rs, gd, t)
+
+
+@pytest.mark.parametrize("label", ["E7", "E8", "B10", "D10"])
+def test_analyze_slices_match_grade_oracle_on_higher_order_elements(label, monkeypatch):
+    rs, gd = _setup(label)
+    rng = random.Random(f"slices-{label}")
+    for _ in range(8):
+        d = rng.randint(3, 6)
+        coords = tuple(rng.randrange(d) for _ in range(rs.rank))
+        t = ToralElement(coords, d, rng.choice(["coroot", "coweight"]))
+        _assert_slices_match_grade_oracle(monkeypatch, rs, gd, t)

@@ -17,7 +17,7 @@ from quatforms import (
 from quatforms.involution import centralizer_roots
 
 from conftest import SUPPORTED_LABELS
-from oracles import coroot_pairing
+from oracles import centralizer_roots_by_dot, coroot_pairing
 
 
 def test_coords_reduced_on_construction():
@@ -159,3 +159,29 @@ def test_coroot_basis_pairs_through_coroots(label):
                     c[i] * coroot_pairing(rs, alpha, i + 1) for i in range(rs.rank)
                 )
                 assert pairing(rs, t, alpha) == expected % d
+
+
+# d = 1 centralizes every root; 2**70 + 1 leaves the range of a 64-bit int.
+_CENTRALIZER_DENOMS = (1, 2, 3, 4, 5, 6, 7, 2**70 + 1)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS)
+def test_centralizer_roots_match_dot_product_oracle(label):
+    """The parent-table centralizer equals one dot product per root.
+
+    Per denominator and basis: the all-zero and all-one elements, the
+    alternating +-1 element (whose pairings reach d exactly) and two
+    seeded ones.
+    """
+    rs = build_root_system(parse_type(label))
+    n = rs.rank
+    rng = random.Random(f"centralizer-{label}")
+    for d in _CENTRALIZER_DENOMS:
+        elements = [(0,) * n, (1,) * n, tuple((-1) ** j for j in range(n))]
+        elements += [tuple(rng.randrange(-3 * d, 3 * d) for _ in range(n)) for _ in range(2)]
+        for basis in ("coroot", "coweight"):
+            for coords in elements:
+                t = ToralElement(coords, d, basis)
+                assert centralizer_roots(rs, t) == centralizer_roots_by_dot(rs, t), (
+                    t.describe()
+                )

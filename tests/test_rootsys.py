@@ -196,6 +196,26 @@ def test_root_codes_are_linear_and_injective(label):
                 assert seen.setdefault(_encode(v), v) == v, (a, b, v)
 
 
+@pytest.mark.parametrize("label", SUPPORTED_LABELS)
+def test_parent_table_builds_each_positive_root_once(label):
+    """positive_roots opens with alpha_n, ..., alpha_1; every later root is
+    its table parent plus alpha_i (tuple sums here), the parent comes
+    earlier, and each positive root is listed once.  The negatives table
+    is aligned with the positive roots."""
+    rs = build_root_system(parse_type(label))
+    n = rs.rank
+    pos = rs.positive_roots
+    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    assert list(pos[:n]) == simples[::-1]
+    assert len(rs._parents) == len(pos) - n
+    for k, (p, i) in enumerate(rs._parents, start=n):
+        assert 0 <= p < k and 0 <= i < n, (k, p, i)
+        assert tuple(x + y for x, y in zip(pos[p], simples[i])) == pos[k], (k, p, i)
+    assert len(set(pos)) == len(pos)
+    assert set(pos) | set(rs._negatives) == rs.root_set
+    assert rs._negatives == tuple(tuple(-x for x in r) for r in pos)
+
+
 def test_codes_distinct_on_sums_of_bounded_vectors():
     """Any two vectors within the coefficient bound add or subtract to a
     vector whose code no other such vector shares (checked on rank 3)."""

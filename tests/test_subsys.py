@@ -23,7 +23,7 @@ from quatforms.rootsys import grade, pairing_with_coroot
 from quatforms.subsys import normalize_components
 
 from conftest import GRADED_LABELS, SUPPORTED_LABELS
-from oracles import indecomposable_base, regenerate_from_base
+from oracles import indecomposable_base, regenerate_from_base, sorted_positive_roots
 
 
 def _full(label):
@@ -161,6 +161,34 @@ def test_base_matches_oracle_on_involutions(label):
         t = ToralElement(coords, 2, "coweight")
         for sub in _centralizer_and_v_slice(rs, nodes, t):
             _assert_base_matches_oracle(sub)
+
+
+@pytest.mark.parametrize(
+    "label", [s for s in GRADED_LABELS if parse_type(s).rank <= 6]
+)
+def test_positive_roots_match_sort_on_involutions(label):
+    """Filtering the ambient order gives the (height, lex) sort of the set."""
+    from itertools import product
+
+    rs = build_root_system(parse_type(label))
+    nodes = node_set(rs)
+    for coords in product((0, 1), repeat=rs.rank):
+        t = ToralElement(coords, 2, "coweight")
+        for sub in _centralizer_and_v_slice(rs, nodes, t):
+            assert sub.positive_roots == sorted_positive_roots(sub.roots)
+
+
+@pytest.mark.parametrize("label", ["E7", "E8", "B10", "D10"])
+def test_positive_roots_match_sort_on_higher_order_elements(label):
+    rs = build_root_system(parse_type(label))
+    nodes = node_set(rs)
+    rng = random.Random(f"order-{label}")
+    for _ in range(8):
+        d = rng.randint(3, 6)
+        coords = tuple(rng.randrange(d) for _ in range(rs.rank))
+        t = ToralElement(coords, d, rng.choice(["coroot", "coweight"]))
+        for sub in _centralizer_and_v_slice(rs, nodes, t):
+            assert sub.positive_roots == sorted_positive_roots(sub.roots)
 
 
 _MISSING = re.compile(
