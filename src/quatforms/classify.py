@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from itertools import product
 from typing import Iterable
@@ -172,17 +173,27 @@ def load_golden(path: str) -> list[GoldenEntry]:
     return _validate_entries(entries, path)
 
 
+@lru_cache(maxsize=None)
 def _bundled_text(name: str) -> str:
     return resources.files("quatforms").joinpath(name).read_text(encoding="utf-8")
 
 
-def load_bundled_exceptional() -> list[GoldenEntry]:
+@lru_cache(maxsize=None)
+def _bundled_exceptional() -> tuple[GoldenEntry, ...]:
     data = json.loads(_bundled_text("data/registry_exceptional.json"))
     entries = [
         _entry_from_json(obj, f"bundled exceptional registry, entry {i}")
         for i, obj in enumerate(data)
     ]
-    return _validate_entries(entries, "bundled exceptional registry")
+    return tuple(_validate_entries(entries, "bundled exceptional registry"))
+
+
+def load_bundled_exceptional() -> list[GoldenEntry]:
+    """The bundled exceptional registry, parsed and validated once per process.
+
+    Each call returns a fresh list of the (frozen) entries.
+    """
+    return list(_bundled_exceptional())
 
 
 def generator_config() -> dict:
@@ -396,15 +407,16 @@ def golden_for_type(
 ) -> tuple[list[GoldenEntry], bool]:
     """Golden entries for one ambient type plus a baseline-found flag.
 
-    An explicit path wins; otherwise the bundled registry is used (data
-    file for exceptional types, generator for classical families).
+    An explicit path wins and is read on every call; otherwise the bundled
+    registry is used (data file for exceptional types, read once per
+    process, generator for classical families).
     """
-    if path:
+    if path is not None:
         entries = [e for e in load_golden(path) if e.ambient == t]
         return entries, bool(entries)
     if t.family in CLASSICAL_FAMILIES:
         return generate_classical(t), True
-    entries = [e for e in load_bundled_exceptional() if e.ambient == t]
+    entries = [e for e in _bundled_exceptional() if e.ambient == t]
     return entries, bool(entries)
 
 
@@ -457,6 +469,16 @@ def wk_orbits(
                         members.append(y)
         orbits.append(tuple(vectors[x] for x in sorted(members)))
     return orbits
+
+
+@lru_cache(maxsize=None)
+def _orbit_table(rs: RootSystem) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(lex-smallest member, size) of each W_K-orbit, in ``wk_orbits`` order.
+
+    Built once per root system; the 2^rank members are not kept.
+    """
+    gd = quaternionic_decomposition(rs)
+    return tuple((orbit[0], len(orbit)) for orbit in wk_orbits(rs, gd))
 
 
 @dataclass(frozen=True)
@@ -524,7 +546,9 @@ def classify_equal_rank(
     counts all 2^rank of them.  Representatives failing the circle or
     dimension criterion are rejected on those raw counts without building
     their full analysis; the analysis criteria are exactly the same two
-    tests, so the survivors coincide.
+    tests, so the survivors coincide.  The orbit table, the grading and the
+    bundled registry are built once per process, so a repeated call pays
+    only for its representatives.
     """
     gd = quaternionic_decomposition(rs)
     theta = rs.highest_root
@@ -534,9 +558,9 @@ def classify_equal_rank(
     witnesses: dict[tuple[CartanType, CartanType], ToralElement] = {}
     counts: dict[tuple[CartanType, CartanType], int] = {}
     n_candidates = 0
-    for orbit in wk_orbits(rs, gd):
-        n_candidates += len(orbit)
-        t = ToralElement(orbit[0], 2, COWEIGHT)
+    for rep, size in _orbit_table(rs):
+        n_candidates += size
+        t = ToralElement(rep, 2, COWEIGHT)
         if pairing(rs, t, theta) == 0:
             continue
         cent = centralizer_roots(rs, t)
@@ -554,7 +578,7 @@ def classify_equal_rank(
             witnesses[key] = t
             counts[key] = 0
             found_order.append(key)
-        counts[key] += len(orbit)
+        counts[key] += size
 
     found = [
         FoundForm(k[0], k[1], witnesses[k], counts[k])
@@ -564,7 +588,7 @@ def classify_equal_rank(
     try:
         golden, have_baseline = golden_for_type(rs.type, golden_path)
     except GoldenDataError:
-        if golden_path:
+        if golden_path is not None:
             raise
         golden, have_baseline = [], False
 

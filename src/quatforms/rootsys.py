@@ -398,8 +398,13 @@ class GradedDecomposition:
         )
 
 
+@lru_cache(maxsize=None)
 def quaternionic_decomposition(rs: RootSystem) -> GradedDecomposition:
-    """Grade the positive roots at the node set and split them into k and m."""
+    """Grade the positive roots at the node set and split them into k and m.
+
+    The result is cached per root system and shared, like
+    ``build_root_system``'s: GradedDecomposition is immutable.
+    """
     nodes = node_set(rs)
     k_pos: list[Root] = []
     m_pos: list[Root] = []

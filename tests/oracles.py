@@ -5,7 +5,9 @@ code with the root-string generator and root-string pairing in
 quatforms.rootsys; the base and cover oracles work from plain root sets.
 The centralizer, grade-slice and order oracles are the per-root dot
 product, grade() filters and (height, lex) sort the package replaced with
-tables cached per root system.  The classification oracle analyzes every
+tables cached per root system, and the pairwise closure oracle is the
+pass over all pairs of positive members that Subsystem replaced with a
+check through its base.  The classification oracle analyzes every
 candidate instead of one per W_K-orbit.  coroot_pairing and
 enumerate_involutions are small helpers the package itself has no use for.
 """
@@ -85,6 +87,44 @@ def indecomposable_base(roots) -> list[tuple[int, ...]]:
             if s in pos_set:
                 sums.add(s)
     return [r for r in pos if r not in sums]
+
+
+def pairwise_closure_base(rs, roots) -> tuple[tuple[int, ...], ...]:
+    """Base of a closed symmetric root set, by a pass over all pairs.
+
+    The closure check Subsystem ran before it went through its base: every
+    pair of positive members is summed and subtracted, a sum or difference
+    that is an ambient root must be a member, and the positive members that
+    are no such sum form the base.  Raises NotClosedError like Subsystem
+    (membership and symmetry first), naming the first failing pair in
+    ambient order.
+    """
+    from quatforms.subsys import NotClosedError, _missing
+
+    get_code = rs._codes.get
+    code_set = {get_code(r) for r in roots}
+    for r in roots:
+        c = get_code(r)
+        if c is None:
+            raise NotClosedError(f"{r} is not a root of {rs.type.label}")
+        if -c not in code_set:
+            raise NotClosedError(f"not symmetric: missing negative of {r}")
+    ambient_codes = rs._code_set
+    pos = tuple(r for r in rs.positive_roots if r in roots)
+    pos_codes = [get_code(r) for r in pos]
+    decomposable = set()
+    for i, a in enumerate(pos_codes):
+        for j in range(i + 1, len(pos_codes)):
+            b = pos_codes[j]
+            s = a + b
+            if s in ambient_codes:
+                if s not in code_set:
+                    raise _missing(pos[i], "+", pos[j])
+                decomposable.add(s)
+            d = a - b
+            if d in ambient_codes and d not in code_set:
+                raise _missing(pos[i], "-", pos[j])
+    return tuple(r for r, c in zip(pos, pos_codes) if c not in decomposable)
 
 
 def centralizer_roots_by_dot(rs, t) -> frozenset[tuple[int, ...]]:

@@ -20,7 +20,7 @@ from quatforms import (
     parse_type,
     quaternionic_decomposition,
 )
-from quatforms.classify import load_bundled_exceptional, wk_orbits
+from quatforms.classify import _orbit_table, load_bundled_exceptional, wk_orbits
 
 from conftest import CLASSIFY_LABELS, GRADED_LABELS
 from oracles import brute_force_classify, enumerate_involutions
@@ -166,6 +166,7 @@ def test_wk_orbits_partition_the_candidates(label):
     assert all(list(orbit) == sorted(orbit) for orbit in orbits)
     reps = [orbit[0] for orbit in orbits]
     assert reps == sorted(reps)
+    assert list(_orbit_table(rs)) == [(orbit[0], len(orbit)) for orbit in orbits]
     if label in _ORBIT_COUNTS:
         assert len(orbits) == _ORBIT_COUNTS[label]
 
@@ -195,6 +196,26 @@ def test_bundled_exceptional_registry():
         "G2": 1, "F4": 1, "E6": 3, "E7": 3, "E8": 2,
     }
     assert sum(1 for e in entries if not e.equal_rank) == 1  # only 6b
+
+
+def test_registry_lists_are_fresh_per_call():
+    """The bundled registry is parsed once, but callers get their own lists."""
+    first = load_bundled_exceptional()
+    first.clear()
+    assert len(load_bundled_exceptional()) == 10
+    e8 = parse_type("E8")
+    entries, found = golden_for_type(e8)
+    entries.pop()
+    assert found and len(golden_for_type(e8)[0]) == 2
+
+
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_classify_repeats_with_tables_cached(label):
+    """A call that builds the per-type tables and one that reuses them agree."""
+    rs = _rs(label)
+    _orbit_table.cache_clear()
+    quaternionic_decomposition.cache_clear()
+    assert classify_equal_rank(rs).to_json() == classify_equal_rank(rs).to_json()
 
 
 def test_generator_c5_single_entry():

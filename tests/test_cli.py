@@ -246,6 +246,15 @@ def test_classify_golden_directory_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_classify_empty_golden_path_exits_2(capsys):
+    """An explicit empty path is unreadable, not a request for the bundled registry."""
+    code = main(["classify", "G2", "--golden", ""])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("quatforms classify: error: cannot read golden file ")
+    assert "Traceback" not in err
+
+
 def test_table(capsys):
     code, out = _run(capsys, "table")
     assert code == 0

@@ -23,7 +23,12 @@ from quatforms.rootsys import grade, pairing_with_coroot
 from quatforms.subsys import normalize_components
 
 from conftest import GRADED_LABELS, SUPPORTED_LABELS
-from oracles import indecomposable_base, regenerate_from_base, sorted_positive_roots
+from oracles import (
+    indecomposable_base,
+    pairwise_closure_base,
+    regenerate_from_base,
+    sorted_positive_roots,
+)
 
 
 def _full(label):
@@ -231,6 +236,61 @@ def test_not_closed_error_names_a_missing_sum(label):
         assert v in (gamma, neg) and rs.is_root(v)
         checked += 1
     assert checked
+
+
+def _assert_agrees_with_pairwise_oracle(rs, roots):
+    """Subsystem and the pairwise closure pass accept the same sets, with
+    the same base; a rejection names two members whose sum or difference
+    is a root missing from the set."""
+    try:
+        expected = pairwise_closure_base(rs, roots)
+    except NotClosedError:
+        expected = None
+    try:
+        got = Subsystem(rs, roots).base
+    except NotClosedError as exc:
+        got = None
+        m = _MISSING.match(str(exc))
+        assert m, str(exc)
+        a, b, v = (
+            tuple(map(int, re.findall(r"-?\d+", m.group(k)))) for k in (1, 3, 4)
+        )
+        sign = 1 if m.group(2) == "+" else -1
+        assert tuple(x + sign * y for x, y in zip(a, b)) == v
+        assert a in roots and b in roots and v not in roots and rs.is_root(v)
+        order = rs.positive_roots.index
+        assert order(a) < order(b)
+    assert got == expected
+
+
+@pytest.mark.parametrize("label", ["G2", "B2", "A3", "B3", "C3", "A4", "D4"])
+def test_closure_matches_pairwise_oracle_on_every_symmetric_subset(label):
+    rs = build_root_system(parse_type(label))
+    pos = rs.positive_roots
+    pairs = [(r, tuple(-x for x in r)) for r in pos]
+    for mask in range(1 << len(pos)):
+        roots = frozenset(
+            r for k, pair in enumerate(pairs) if mask >> k & 1 for r in pair
+        )
+        _assert_agrees_with_pairwise_oracle(rs, roots)
+
+
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_closure_matches_pairwise_oracle_on_perturbed_centralizers(label):
+    """Drop one +-root pair from, or add one to, centralizers of d = 2-4."""
+    rs = build_root_system(parse_type(label))
+    rng = random.Random(f"perturb-{label}")
+    for d in (2, 3, 4):
+        for _ in range(4):
+            coords = tuple(rng.randrange(d) for _ in range(rs.rank))
+            cent = centralizer(rs, ToralElement(coords, d, "coweight"))
+            inside = list(cent.positive_roots)
+            outside = [r for r in rs.positive_roots if r not in cent.roots]
+            drops = rng.sample(inside, min(3, len(inside)))
+            adds = rng.sample(outside, min(3, len(outside)))
+            for gamma in drops + adds:
+                roots = cent.roots ^ {gamma, tuple(-x for x in gamma)}
+                _assert_agrees_with_pairwise_oracle(rs, roots)
 
 
 @pytest.mark.parametrize("label", ["E7", "E8", "B10", "D10"])
