@@ -402,20 +402,26 @@ def _merge_coincident(entries: list[GoldenEntry]) -> list[GoldenEntry]:
     return [merged[k] for k in order]
 
 
+@lru_cache(maxsize=None)
+def _generated_classical(t: SimpleType) -> tuple[GoldenEntry, ...]:
+    return tuple(generate_classical(t))
+
+
 def golden_for_type(
     t: SimpleType, path: str | None = None
 ) -> tuple[list[GoldenEntry], bool]:
     """Golden entries for one ambient type plus a baseline-found flag.
 
     An explicit path wins and is read on every call; otherwise the bundled
-    registry is used (data file for exceptional types, read once per
-    process, generator for classical families).
+    registry is used (data file for exceptional types, generator for
+    classical families; each built once per process).  Every call returns
+    a fresh list of the (frozen) entries.
     """
     if path is not None:
         entries = [e for e in load_golden(path) if e.ambient == t]
         return entries, bool(entries)
     if t.family in CLASSICAL_FAMILIES:
-        return generate_classical(t), True
+        return list(_generated_classical(t)), True
     entries = [e for e in _bundled_exceptional() if e.ambient == t]
     return entries, bool(entries)
 

@@ -19,9 +19,12 @@ the positive ones.  On first use only (never at import or in
 build_root_system) a RootSystem also caches a parent table that writes
 each non-simple positive root as an earlier positive root plus one simple
 root (Humphreys, 10.2), so anything linear in the root, such as a toral
-pairing, costs one addition per positive root; and a GradedDecomposition
-caches its set of grade +-1 roots, so grade slices are set membership.
-None of these tables leaves the package.
+pairing, costs one addition per positive root; a table of the positive
+sum triples alpha + beta = gamma, held as one bitmask pair per positive
+root, so a subsystem's closure check and base are a few big-int
+operations per member; and a GradedDecomposition caches its set of grade
++-1 roots, so grade slices are set membership.  None of these tables
+leaves the package.
 
 The highest root defines a grading by its attach node(s) in the extended
 diagram: grade 1 cuts out the tangent part of the quaternionic symmetric
@@ -276,6 +279,49 @@ class RootSystem:
     @cached_property
     def _code_set(self) -> frozenset[int]:
         return frozenset(self._codes.values())
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        """Index in ``positive_roots`` of each positive root's code."""
+        codes = self._codes
+        return {codes[r]: k for k, r in enumerate(self.positive_roots)}
+
+    @cached_property
+    def _sum_triples(self) -> tuple[tuple[int, int, int], ...]:
+        """Every (u, v, w) with u < v and positive_roots[u] + [v] = [w].
+
+        Indices are into ``positive_roots``; triple t is the t-th in (u, v)
+        order, and w is above both u and v.
+        """
+        position = self._position
+        codes = list(position)
+        triples = []
+        for u, a in enumerate(codes):
+            for v in range(u + 1, len(codes)):
+                w = position.get(a + codes[v])
+                if w is not None:
+                    triples.append((u, v, w))
+        return tuple(triples)
+
+    @cached_property
+    def _triple_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(roles, sums): one T-triple bitmask pair per positive root.
+
+        roles[x] has bit t when x is the u of triple t, bit T + t when it
+        is the v and bit 2T + t when it is the w; sums[x] has bit t when x
+        is the w.  Each of the 3T role bits belongs to exactly one root,
+        so the role masks of a root set can be summed instead of or-ed.
+        """
+        triples = self._sum_triples
+        n_triples = len(triples)
+        roles = [0] * len(self.positive_roots)
+        sums = [0] * len(self.positive_roots)
+        for t, (u, v, w) in enumerate(triples):
+            roles[u] |= 1 << t
+            roles[v] |= 1 << (n_triples + t)
+            roles[w] |= 1 << (2 * n_triples + t)
+            sums[w] |= 1 << t
+        return tuple(roles), tuple(sums)
 
     @cached_property
     def simple_roots(self) -> tuple[Root, ...]:

@@ -2,21 +2,21 @@
 
 A subsystem here is a symmetric, addition-closed subset of an ambient root
 system (every centralizer and grade slice this package produces is of that
-kind).  Its base, the indecomposable positive elements, is found first and
-closure is then checked through it, so validation costs O(k * |base|) for
-k positive members instead of a pass over all pairs.  The walk rests on
-two facts (Humphreys, Introduction to Lie Algebras and Representation
-Theory): every non-simple positive root is a simple root plus a positive
-root (10.2, Corollary to Lemma A), and [g_a, g_b] = g_(a+b) whenever a, b
-and a + b are roots (8.4(d)).  The type of the base diagram is read off by
-a tree certificate: edge multiplicities, branch shape and arrow direction
-pin the component down to one entry of the classification.
+kind).  Closure is checked, and the base extracted, on the ambient root
+system's positive sum triples alpha + beta = gamma: a symmetric set is
+closed exactly when no triple has exactly two of its roots in the set,
+and the base of a closed set is its positive members that are the sum of
+no triple with both summands present (Humphreys, Introduction to Lie
+Algebras and Representation Theory, 10.1).  With the triples held as
+bitmasks per root system, validation costs O(k) big-int operations for
+k positive members.  The type of the base diagram is read off by a tree
+certificate: edge multiplicities, branch shape and arrow direction pin
+the component down to one entry of the classification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .rootsys import Root, RootSystem, SimpleType, _string_pairing
@@ -44,36 +44,33 @@ def _missing(a: Root, op: str, b: Root) -> NotClosedError:
 class Subsystem:
     """A symmetric, closed set of roots inside an ambient root system.
 
-    Construction validates the set and extracts ``base``: the
-    indecomposable positive roots, in ``positive_roots`` order.  The
-    positive members are walked in that order, and a member x joins the
-    base unless x - a is a member for some base element a found earlier.
-    Closure is then checked only under +-base: x + a and x - a must be
-    members for every base element a and positive member x, whenever they
-    are roots.
+    Construction validates the set and extracts ``positive_roots``, the
+    positive members in the ambient order (height, then lex), and
+    ``base``: the indecomposable positive members, in that order.  Both
+    come from the ambient system's positive sum triples (u, v, w), u + v
+    = w: a triple is bad when exactly two of its roots are members, and a
+    bad triple names a missing root, u + v or a difference with w.  The
+    base is the positive members that are the w of no triple whose u and
+    v are both members (Humphreys 10.1).
 
-    Lemma: let S be symmetric and B the set this walk finds, so every
-    element of S+ outside B is some a in B plus an element of S+.  If S is
-    closed under b +- a for all b in S+ and a in B, then S is closed.
-    Proof: by symmetry b +- a is then in S for every b in S.  Take g, d in
-    S with g + d a root; after swapping or negating the pair, d is
-    positive.  Induct on the height of d.  If d is in B the hypothesis
-    applies; otherwise d = d' + a with d' in S+ lower and a in B.  If
-    g + d' is a root, it is in S by induction and adding a keeps it there;
-    if g + a is a root, it is in S and adding d' keeps it there by
-    induction; if either is zero, g + d is a or d'.  Otherwise
-    [e_g, [e_d', e_a]] = 0 by the Jacobi identity, yet [e_d', e_a] spans
-    g_d and [e_g, e_d] != 0 (Humphreys 8.4(d)), a contradiction.  When S
-    is closed, B is exactly its set of indecomposables (Humphreys 10.2).
+    Lemma: a symmetric S is closed iff no positive triple has exactly two
+    members in S.  (=>) Any two roots of a triple give the third by one
+    sum or difference.  (<=) Take x, y in S with x + y a root; negating
+    both if needed (S is symmetric), x > 0.  If y > 0, the triple
+    (x, y, x + y) has x and y in S.  If y < 0 < x + y, the triple
+    (-y, x + y, x) has -y and x in S.  If x + y < 0, the triple
+    (x, -x - y, -y) has x and -y in S.  Each has two members, hence its
+    third, which is x + y or, by symmetry, gives it.
     """
 
     ambient: RootSystem
     roots: frozenset[Root]
     base: tuple[Root, ...] = field(init=False, repr=False, compare=False)
+    positive_roots: tuple[Root, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Every loop runs on packed root codes (see rootsys); root tuples
-        # are only rebuilt for an error message.
+        # Every step runs on packed root codes and positions (see rootsys);
+        # root tuples are only looked up for the results and error messages.
         ambient = self.ambient
         get_code = ambient._codes.get
         codes = [get_code(r) for r in self.roots]
@@ -83,40 +80,31 @@ class Subsystem:
                 raise NotClosedError(f"{r} is not a root of {ambient.type.label}")
             if -c not in code_set:
                 raise NotClosedError(f"not symmetric: missing negative of {r}")
-        pos = self.positive_roots
-        pos_codes = [get_code(r) for r in pos]
-        # No base element found earlier is higher than x, so a member x - a
-        # is positive and x is a base element plus a positive member.
-        base: list[int] = []  # indices into pos
-        for i, x in enumerate(pos_codes):
-            for j in base:
-                if x - pos_codes[j] in code_set:
-                    break
-            else:
-                base.append(i)
-        ambient_codes = ambient._code_set
-        for j in base:
-            a = pos_codes[j]
-            for i, x in enumerate(pos_codes):
-                s = x + a
-                if s in ambient_codes and s not in code_set:
-                    op = "+"
-                else:
-                    s = x - a
-                    if s not in ambient_codes or s in code_set:
-                        continue
-                    op = "-"
-                # Name the earlier root first; with x - a missing from a
-                # symmetric set, a - x is missing too.
-                p, q = sorted((i, j))
-                raise _missing(pos[p], op, pos[q])
-        object.__setattr__(self, "base", tuple(pos[j] for j in base))
-
-    @cached_property
-    def positive_roots(self) -> tuple[Root, ...]:
-        """The positive members, in the ambient order (height, then lex)."""
-        roots = self.roots
-        return tuple(r for r in self.ambient.positive_roots if r in roots)
+        position = ambient._position
+        members = sorted([position[c] for c in code_set if c > 0])
+        pos = ambient.positive_roots
+        object.__setattr__(self, "positive_roots", tuple(pos[x] for x in members))
+        # Role bits are disjoint between roots, so the sum is their union.
+        roles, sums = ambient._triple_masks
+        n_triples = len(ambient._sum_triples)
+        present = sum([roles[x] for x in members])
+        full = (1 << n_triples) - 1
+        u_in = present & full
+        v_in = present >> n_triples & full
+        w_in = present >> 2 * n_triples
+        uv = u_in & v_in
+        bad = (uv | (u_in | v_in) & w_in) & ~(uv & w_in)
+        if bad:
+            # Name the lowest bad triple's two members, the earlier first:
+            # u < v < w in ambient order.
+            t = (bad & -bad).bit_length() - 1
+            u, v, w = ambient._sum_triples[t]
+            if not w_in >> t & 1:
+                raise _missing(pos[u], "+", pos[v])
+            raise _missing(pos[u] if u_in >> t & 1 else pos[v], "-", pos[w])
+        object.__setattr__(
+            self, "base", tuple(pos[x] for x in members if not uv & sums[x])
+        )
 
 
 def base_of(sub: Subsystem) -> list[Root]:
@@ -339,16 +327,23 @@ def recognize(sub: Subsystem) -> CartanType:
         return CartanType((), rank)
     k = len(base)
     # Base elements are roots of the ambient system, so the pairings come
-    # straight from the string walk on packed codes.
+    # straight from the string walk on packed codes.  <a, b-check> is zero
+    # exactly when <b, a-check> is, so the transposed walk runs only when
+    # the entry above the diagonal is nonzero.
     roots = ambient._code_set
     codes = [ambient._codes[r] for r in base]
-    pairing = [[_string_pairing(roots, a, b) for b in codes] for a in codes]
-    for i in range(k):
+    pairing = [[0] * k for _ in range(k)]
+    for i, a in enumerate(codes):
+        pairing[i][i] = 2
         for j in range(i + 1, k):
-            if pairing[i][j] > 0:
+            p = _string_pairing(roots, a, codes[j])
+            if p > 0:
                 raise UnclassifiableSubsystemError(
                     f"base elements {base[i]}, {base[j]} pair positively"
                 )
+            if p:
+                pairing[i][j] = p
+                pairing[j][i] = _string_pairing(roots, codes[j], a)
     seen: set[int] = set()
     components: list[SimpleType] = []
     for start in range(k):

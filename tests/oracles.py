@@ -5,9 +5,10 @@ code with the root-string generator and root-string pairing in
 quatforms.rootsys; the base and cover oracles work from plain root sets.
 The centralizer, grade-slice and order oracles are the per-root dot
 product, grade() filters and (height, lex) sort the package replaced with
-tables cached per root system, and the pairwise closure oracle is the
-pass over all pairs of positive members that Subsystem replaced with a
-check through its base.  The classification oracle analyzes every
+tables cached per root system, and the pairwise and base-first closure
+oracles are the pass over all pairs of positive members and the walk
+through the base that Subsystem replaced, in turn, with bitmasks over the
+root system's sum triples.  The classification oracle analyzes every
 candidate instead of one per W_K-orbit.  coroot_pairing and
 enumerate_involutions are small helpers the package itself has no use for.
 """
@@ -92,7 +93,7 @@ def indecomposable_base(roots) -> list[tuple[int, ...]]:
 def pairwise_closure_base(rs, roots) -> tuple[tuple[int, ...], ...]:
     """Base of a closed symmetric root set, by a pass over all pairs.
 
-    The closure check Subsystem ran before it went through its base: every
+    The closure check Subsystem ran before base_first_closure_base: every
     pair of positive members is summed and subtracted, a sum or difference
     that is an ambient root must be a member, and the positive members that
     are no such sum form the base.  Raises NotClosedError like Subsystem
@@ -125,6 +126,53 @@ def pairwise_closure_base(rs, roots) -> tuple[tuple[int, ...], ...]:
             if d in ambient_codes and d not in code_set:
                 raise _missing(pos[i], "-", pos[j])
     return tuple(r for r, c in zip(pos, pos_codes) if c not in decomposable)
+
+
+def base_first_closure_base(rs, roots) -> tuple[tuple[int, ...], ...]:
+    """Base of a closed symmetric root set, found first and then used to
+    check closure.
+
+    The check Subsystem ran before the sum-triple bitmasks: the positive
+    members are walked in ambient order, and a member x joins the base
+    unless x - a is a member for a base element a found earlier; closure
+    is then checked only under +-base (x + a and x - a must be members
+    whenever they are roots).  Raises NotClosedError like Subsystem
+    (membership and symmetry first), naming the earlier root first.
+    """
+    from quatforms.subsys import NotClosedError, _missing
+
+    get_code = rs._codes.get
+    codes = [get_code(r) for r in roots]
+    code_set = set(codes)
+    for r, c in zip(roots, codes):
+        if c is None:
+            raise NotClosedError(f"{r} is not a root of {rs.type.label}")
+        if -c not in code_set:
+            raise NotClosedError(f"not symmetric: missing negative of {r}")
+    pos = tuple(r for r in rs.positive_roots if r in roots)
+    pos_codes = [get_code(r) for r in pos]
+    base = []  # indices into pos
+    for i, x in enumerate(pos_codes):
+        for j in base:
+            if x - pos_codes[j] in code_set:
+                break
+        else:
+            base.append(i)
+    ambient_codes = rs._code_set
+    for j in base:
+        a = pos_codes[j]
+        for i, x in enumerate(pos_codes):
+            s = x + a
+            if s in ambient_codes and s not in code_set:
+                op = "+"
+            else:
+                s = x - a
+                if s not in ambient_codes or s in code_set:
+                    continue
+                op = "-"
+            p, q = sorted((i, j))
+            raise _missing(pos[p], op, pos[q])
+    return tuple(pos[j] for j in base)
 
 
 def centralizer_roots_by_dot(rs, t) -> frozenset[tuple[int, ...]]:

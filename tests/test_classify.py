@@ -20,7 +20,12 @@ from quatforms import (
     parse_type,
     quaternionic_decomposition,
 )
-from quatforms.classify import _orbit_table, load_bundled_exceptional, wk_orbits
+from quatforms.classify import (
+    CLASSICAL_FAMILIES,
+    _orbit_table,
+    load_bundled_exceptional,
+    wk_orbits,
+)
 
 from conftest import CLASSIFY_LABELS, GRADED_LABELS
 from oracles import brute_force_classify, enumerate_involutions
@@ -207,6 +212,19 @@ def test_registry_lists_are_fresh_per_call():
     entries, found = golden_for_type(e8)
     entries.pop()
     assert found and len(golden_for_type(e8)[0]) == 2
+
+
+@pytest.mark.parametrize(
+    "label", [s for s in CLASSIFY_LABELS if s[0] in CLASSICAL_FAMILIES]
+)
+def test_classical_registry_is_generated_once_and_lists_are_fresh(label):
+    t = parse_type(label)
+    first, found = golden_for_type(t)
+    assert found and first == generate_classical(t)
+    second = golden_for_type(t)[0]
+    assert all(a is b for a, b in zip(first, second))  # generated once
+    first.clear()
+    assert golden_for_type(t)[0] == second
 
 
 @pytest.mark.parametrize("label", GRADED_LABELS)

@@ -216,6 +216,48 @@ def test_parent_table_builds_each_positive_root_once(label):
     assert rs._negatives == tuple(tuple(-x for x in r) for r in pos)
 
 
+_T_COUNTS = {
+    "G2": 5, "F4": 68, "E6": 120, "E7": 336, "E8": 1120,
+    "A8": 84, "C7": 182, "D9": 336, "B9": 408, "B10": 570, "C10": 570,
+}
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS)
+def test_sum_triple_table_lists_each_positive_sum_once(label):
+    """The triples are exactly the pairs u < v of positive roots whose tuple
+    sum is a positive root, in (u, v) order; each role and sum mask has
+    exactly the bits of the triples it names; _position inverts
+    positive_roots."""
+    rs = build_root_system(parse_type(label))
+    pos = rs.positive_roots
+    assert rs._position == {rs._codes[r]: k for k, r in enumerate(pos)}
+    index = {r: k for k, r in enumerate(pos)}
+    expected = []
+    for u, a in enumerate(pos):
+        for v in range(u + 1, len(pos)):
+            w = index.get(tuple(x + y for x, y in zip(a, pos[v])))
+            if w is not None:
+                expected.append((u, v, w))
+    triples = rs._sum_triples
+    assert list(triples) == expected
+    if label in _T_COUNTS:
+        assert len(triples) == _T_COUNTS[label]
+    n_triples = len(triples)
+    role_bits = [set() for _ in pos]
+    sum_bits = [set() for _ in pos]
+    for t, triple in enumerate(triples):
+        for k, x in enumerate(triple):
+            role_bits[x].add(k * n_triples + t)
+        sum_bits[triple[2]].add(t)
+    roles, sums = rs._triple_masks
+    assert [_bits(m) for m in roles] == role_bits
+    assert [_bits(m) for m in sums] == sum_bits
+
+
+def _bits(mask):
+    return {b for b, ch in enumerate(reversed(bin(mask)[2:])) if ch == "1"}
+
+
 def test_codes_distinct_on_sums_of_bounded_vectors():
     """Any two vectors within the coefficient bound add or subtract to a
     vector whose code no other such vector shares (checked on rank 3)."""

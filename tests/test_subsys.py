@@ -24,6 +24,7 @@ from quatforms.subsys import normalize_components
 
 from conftest import GRADED_LABELS, SUPPORTED_LABELS
 from oracles import (
+    base_first_closure_base,
     indecomposable_base,
     pairwise_closure_base,
     regenerate_from_base,
@@ -239,13 +240,18 @@ def test_not_closed_error_names_a_missing_sum(label):
 
 
 def _assert_agrees_with_pairwise_oracle(rs, roots):
-    """Subsystem and the pairwise closure pass accept the same sets, with
-    the same base; a rejection names two members whose sum or difference
-    is a root missing from the set."""
+    """Subsystem and both closure oracles (the pairwise pass and the
+    base-first walk) accept the same sets, with the same base; a rejection
+    names two members whose sum or difference is a root missing from the
+    set."""
     try:
         expected = pairwise_closure_base(rs, roots)
     except NotClosedError:
         expected = None
+    try:
+        assert base_first_closure_base(rs, roots) == expected
+    except NotClosedError:
+        assert expected is None
     try:
         got = Subsystem(rs, roots).base
     except NotClosedError as exc:
@@ -277,7 +283,8 @@ def test_closure_matches_pairwise_oracle_on_every_symmetric_subset(label):
 
 @pytest.mark.parametrize("label", GRADED_LABELS)
 def test_closure_matches_pairwise_oracle_on_perturbed_centralizers(label):
-    """Drop one +-root pair from, or add one to, centralizers of d = 2-4."""
+    """Drop one +-root pair from, or add one to, centralizers of d = 2-4,
+    and toggle 2-3 pairs at once, so several roots can be missing."""
     rs = build_root_system(parse_type(label))
     rng = random.Random(f"perturb-{label}")
     for d in (2, 3, 4):
@@ -290,6 +297,12 @@ def test_closure_matches_pairwise_oracle_on_perturbed_centralizers(label):
             adds = rng.sample(outside, min(3, len(outside)))
             for gamma in drops + adds:
                 roots = cent.roots ^ {gamma, tuple(-x for x in gamma)}
+                _assert_agrees_with_pairwise_oracle(rs, roots)
+            for _ in range(3):
+                toggled = rng.sample(rs.positive_roots, rng.randint(2, 3))
+                roots = cent.roots ^ {
+                    r for g in toggled for r in (g, tuple(-x for x in g))
+                }
                 _assert_agrees_with_pairwise_oracle(rs, roots)
 
 
