@@ -32,7 +32,7 @@ from itertools import product
 from typing import Iterable
 
 from .complexform import analyze
-from .involution import COWEIGHT, ToralElement, centralizer_roots, pairing
+from .involution import COWEIGHT, ToralElement, pairing
 from .rootsys import (
     GradedDecomposition,
     InvalidTypeError,
@@ -42,7 +42,7 @@ from .rootsys import (
     parse_type,
     quaternionic_decomposition,
 )
-from .subsys import CartanType
+from .subsys import CartanType, normalize_components
 
 CLASSICAL_FAMILIES = "ABCD"
 
@@ -212,20 +212,12 @@ def load_table() -> list[dict]:
 
 
 def _orthogonal_type(m: int) -> tuple[list[tuple[str, int]], int]:
-    """Cartan type of so(m) as (components, torus rank)."""
+    """Cartan type of so(m) as (components, torus rank); ``_ct`` aliases B1, D2, D3."""
     if m <= 1:
         return [], 0
     if m == 2:
         return [], 1
-    if m % 2:
-        k = m // 2
-        return [("A", 1)] if k == 1 else [("B", k)], 0
-    k = m // 2
-    if k == 2:
-        return [("A", 1), ("A", 1)], 0
-    if k == 3:
-        return [("A", 3)], 0
-    return [("D", k)], 0
+    return [("B" if m % 2 else "D", m // 2)], 0
 
 
 def _unitary_type(m: int) -> tuple[list[tuple[str, int]], int]:
@@ -243,8 +235,6 @@ def _ct(parts: Iterable[tuple[list[tuple[str, int]], int]], extra_torus: int = 0
     for c, t in parts:
         comps.extend(c)
         torus += t
-    from .subsys import normalize_components
-
     return CartanType(normalize_components(comps), torus)
 
 
@@ -549,16 +539,18 @@ def classify_equal_rank(
     its verdict and (L, V) pair hold for the whole orbit, whose size is added
     to the form's multiplicity.  Representatives come in lex order, so a
     form's witness is its lex-smallest candidate, and ``candidates`` still
-    counts all 2^rank of them.  Representatives failing the circle or
-    dimension criterion are rejected on those raw counts without building
-    their full analysis; the analysis criteria are exactly the same two
-    tests, so the survivors coincide.  The orbit table, the grading and the
+    counts all 2^rank of them.  Representatives failing the circle test are
+    rejected without building their analysis.  At d = 2 the circle test
+    implies the dimension test: each grade-1 positive root beta pairs with
+    theta - beta, also a grade-1 positive root, and c(beta) + c(theta -
+    beta) = c(theta) = 1 mod 2, so exactly one root of each pair lies in
+    the centralizer and dim_C S = dim_H M.  A representative whose analysis
+    says otherwise raises RuntimeError.  The orbit table, the grading and the
     bundled registry are built once per process, so a repeated call pays
     only for its representatives.
     """
     gd = quaternionic_decomposition(rs)
     theta = rs.highest_root
-    m_roots = gd._m_roots
 
     found_order: list[tuple[CartanType, CartanType]] = []
     witnesses: dict[tuple[CartanType, CartanType], ToralElement] = {}
@@ -568,10 +560,6 @@ def classify_equal_rank(
         n_candidates += size
         t = ToralElement(rep, 2, COWEIGHT)
         if pairing(rs, t, theta) == 0:
-            continue
-        cent = centralizer_roots(rs, t)
-        # cent is symmetric, so it meets +-m in twice its grade-1 positives.
-        if len(cent & m_roots) != 2 * gd.quaternionic_dim:
             continue
         a = analyze(rs, gd, t)
         if not a.is_complex_form or a.step6_count != 0:

@@ -9,17 +9,27 @@ and the base of a closed set is its positive members that are the sum of
 no triple with both summands present (Humphreys, Introduction to Lie
 Algebras and Representation Theory, 10.1).  With the triples held as
 bitmasks per root system, validation costs O(k) big-int operations for
-k positive members.  The type of the base diagram is read off by a tree
-certificate: edge multiplicities, branch shape and arrow direction pin
-the component down to one entry of the classification.
+k positive members.  Each component of the base diagram is looked up in a
+per-rank table of the Dynkin diagrams that build the root systems
+(``rootsys._cartan_matrix``), so the classification is written down once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import lru_cache
+from typing import Iterable, Mapping, Sequence
 
-from .rootsys import Root, RootSystem, SimpleType, _string_pairing
+from .rootsys import (
+    FAMILIES,
+    InvalidTypeError,
+    Root,
+    RootSystem,
+    SimpleType,
+    _cartan_matrix,
+    _string_pairing,
+    parse_type,
+)
 
 
 class NotClosedError(ValueError):
@@ -27,7 +37,7 @@ class NotClosedError(ValueError):
 
 
 class UnclassifiableSubsystemError(RuntimeError):
-    """Raised when a base diagram matches no simple type.
+    """Raised when a base pairs positively or its diagram is no Dynkin diagram.
 
     Unreachable for closed subsystems of a finite root system; raising it
     means an internal invariant was violated.
@@ -125,18 +135,13 @@ _LOW_RANK_ALIASES = {
     ("B", 1): (("A", 1),),
     ("C", 1): (("A", 1),),
     ("C", 2): (("B", 2),),
-    ("D", 1): (("A", 1),),
     ("D", 2): (("A", 1), ("A", 1)),
     ("D", 3): (("A", 3),),
 }
 
 
 def normalize_components(pairs: Iterable[tuple[str, int]]) -> tuple[SimpleType, ...]:
-    """Apply low-rank aliases and sort components canonically.
-
-    Canonical order is rank descending, then family letter; B1, C1 and D1
-    become A1, C2 becomes B2, D2 becomes A1+A1, D3 becomes A3.
-    """
+    """Apply ``_LOW_RANK_ALIASES``, then sort by rank descending and family letter."""
     out: list[SimpleType] = []
     for family, rank in pairs:
         for f, r in _LOW_RANK_ALIASES.get((family, rank), ((family, rank),)):
@@ -170,7 +175,7 @@ class CartanType:
     def total_rank(self) -> int:
         return self.semisimple_rank + self.torus_rank
 
-    def render(self, aliases: Mapping[str, str] | None = None, sep: str = " ") -> str:
+    def render(self, aliases: Mapping[str, str] | None = None) -> str:
         """Deterministic text form, e.g. ``"E6 T1 T1"``.
 
         ``aliases`` optionally remaps individual component labels for
@@ -181,7 +186,7 @@ class CartanType:
         if aliases:
             parts = [aliases.get(p, p) for p in parts]
         parts.extend(["T1"] * self.torus_rank)
-        return sep.join(parts) if parts else "0"
+        return " ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:
         return {
@@ -206,135 +211,91 @@ class CartanType:
     @classmethod
     def of(cls, *labels: str, torus_rank: int = 0) -> "CartanType":
         """Convenience constructor from labels, e.g. ``CartanType.of("E7", "A1")``."""
-        from .rootsys import parse_type
-
         return cls(tuple(parse_type(s) for s in labels), torus_rank)
 
     def __str__(self) -> str:
         return self.render()
 
 
-def _classify_component(
-    pairing: list[list[int]], nodes: list[int]
-) -> SimpleType:
-    """Recognize one connected base diagram from its Cartan pairings."""
-    n = len(nodes)
-    if n == 1:
-        return SimpleType("A", 1)
+_Neighbours = list[list[tuple[int, int, int]]]
 
-    idx = {v: k for k, v in enumerate(nodes)}
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    edges: list[tuple[int, int, int]] = []  # (i, j, multiplicity)
-    for a in range(n):
-        for b in range(a + 1, n):
-            pab = pairing[nodes[a]][nodes[b]]
-            pba = pairing[nodes[b]][nodes[a]]
-            if pab == 0:
-                continue
-            mult = pab * pba
-            if mult not in (1, 2, 3):
-                raise UnclassifiableSubsystemError(
-                    f"unclassifiable subsystem: edge multiplicity {mult}"
-                )
-            adj[a].append(b)
-            adj[b].append(a)
-            edges.append((a, b, mult))
-    if len(edges) != n - 1:
-        raise UnclassifiableSubsystemError(
-            "unclassifiable subsystem: base diagram is not a tree"
+
+def _diagram_key(nbrs: _Neighbours, nodes: Sequence[int]) -> tuple:
+    """Isomorphism key of one connected base diagram.
+
+    ``nbrs[i]`` lists ``(j, a_ij, a_ji)`` for each neighbour j of node i,
+    a_ij = <b_i, b_j-check>.  The key is the node count and the sorted
+    multiset over the nodes of each node's sorted tuple of (a_ij, a_ji,
+    degree of j).  A connected diagram shares a key with a Dynkin diagram
+    only if it is that diagram:
+
+    - The degrees fix the edge count, so a match with n nodes has n - 1
+      edges and is a tree.
+    - At a multiple edge the entries fix which end is a leaf and the
+      arrow: B_n (short leaf), C_n (long leaf) and F4 (no leaf) differ.
+    - At the branch point the neighbours' degrees fix how many arms have
+      length 1 (D_n two, E_n one); one step out, the neighbours of the
+      degree-2 nodes fix which arm has length 2, so E8 (arms 1, 2, 4)
+      differs from the tree with arms 1, 3, 3.
+    """
+    return len(nodes), tuple(
+        sorted(
+            tuple(sorted((aij, aji, len(nbrs[j])) for j, aij, aji in nbrs[i]))
+            for i in nodes
         )
-
-    degrees = sorted(len(v) for v in adj.values())
-    triples = [e for e in edges if e[2] == 3]
-    doubles = [e for e in edges if e[2] == 2]
-
-    if triples:
-        if n == 2 and not doubles:
-            return SimpleType("G", 2)
-        raise UnclassifiableSubsystemError(
-            "unclassifiable subsystem: triple edge in a diagram of rank > 2"
-        )
-
-    if len(doubles) > 1:
-        raise UnclassifiableSubsystemError(
-            "unclassifiable subsystem: more than one double edge"
-        )
-
-    if len(doubles) == 1:
-        if degrees[-1] > 2:
-            raise UnclassifiableSubsystemError(
-                "unclassifiable subsystem: branch point with a double edge"
-            )
-        a, b, _ = doubles[0]
-        if n == 2:
-            return SimpleType("B", 2)
-        enda, endb = len(adj[a]) == 1, len(adj[b]) == 1
-        if not enda and not endb:
-            if n == 4:
-                return SimpleType("F", 4)
-            raise UnclassifiableSubsystemError(
-                "unclassifiable subsystem: interior double edge outside rank 4"
-            )
-        end, other = (a, b) if enda else (b, a)
-        # pairing[long][short] = -2, so the end node is short exactly when
-        # the -2 entry sits in the other node's row.
-        end_is_short = pairing[nodes[other]][nodes[end]] == -2
-        return SimpleType("B" if end_is_short else "C", n)
-
-    # Simply laced: A by chain, D/E by the unique branch point's arms.
-    if degrees[-1] <= 2:
-        return SimpleType("A", n)
-    if degrees[-1] > 3 or degrees.count(3) != 1:
-        raise UnclassifiableSubsystemError(
-            "unclassifiable subsystem: bad branch structure"
-        )
-    center = next(i for i in range(n) if len(adj[i]) == 3)
-    arms = []
-    for start in adj[center]:
-        length = 1
-        prev, cur = center, start
-        while len(adj[cur]) == 2:
-            nxt = next(x for x in adj[cur] if x != prev)
-            prev, cur = cur, nxt
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return SimpleType("D", n)
-    if arms == [1, 2, 2]:
-        return SimpleType("E", 6)
-    if arms == [1, 2, 3]:
-        return SimpleType("E", 7)
-    if arms == [1, 2, 4]:
-        return SimpleType("E", 8)
-    raise UnclassifiableSubsystemError(
-        f"unclassifiable subsystem: branch arms {arms}"
     )
+
+
+@lru_cache(maxsize=None)
+def _diagram_types(rank: int) -> dict[tuple, SimpleType]:
+    """The simple types of one rank, keyed by their Dynkin diagrams.
+
+    Built once per rank from the Cartan matrices that build the root
+    systems.  A3/D3 and B2/C2 share a key; the first in family order is
+    kept, and both normalize to the same ``CartanType``.
+    """
+    table: dict[tuple, SimpleType] = {}
+    for family in FAMILIES:
+        try:
+            t = SimpleType(family, rank)
+        except InvalidTypeError:
+            continue
+        a = _cartan_matrix(t)
+        nbrs = [
+            [(j, a[i][j], a[j][i]) for j in range(rank) if j != i and a[i][j]]
+            for i in range(rank)
+        ]
+        table.setdefault(_diagram_key(nbrs, range(rank)), t)
+    return table
+
+
+def _component_type(nbrs: _Neighbours, nodes: Sequence[int]) -> SimpleType:
+    """The simple type of one connected base diagram, by table lookup."""
+    t = _diagram_types(len(nodes)).get(_diagram_key(nbrs, nodes))
+    if t is None:
+        raise UnclassifiableSubsystemError("base diagram matches no simple type")
+    return t
 
 
 def recognize(sub: Subsystem) -> CartanType:
     """Cartan type of a closed subsystem, torus factors included.
 
-    The base's pairing matrix is split into connected components and each
-    component matched against the classification; the torus rank is the
-    ambient rank minus the base size (correct for the full-rank subsystems
-    this package produces).
+    The base diagram is split into connected components and each is looked
+    up among the Dynkin diagrams; the torus rank is the ambient rank minus
+    the base size (correct for the full-rank subsystems this package
+    produces).
     """
     base = sub.base
     ambient = sub.ambient
-    rank = ambient.rank
-    if not base:
-        return CartanType((), rank)
     k = len(base)
     # Base elements are roots of the ambient system, so the pairings come
     # straight from the string walk on packed codes.  <a, b-check> is zero
     # exactly when <b, a-check> is, so the transposed walk runs only when
-    # the entry above the diagonal is nonzero.
+    # the first is nonzero.
     roots = ambient._code_set
     codes = [ambient._codes[r] for r in base]
-    pairing = [[0] * k for _ in range(k)]
+    nbrs: _Neighbours = [[] for _ in range(k)]
     for i, a in enumerate(codes):
-        pairing[i][i] = 2
         for j in range(i + 1, k):
             p = _string_pairing(roots, a, codes[j])
             if p > 0:
@@ -342,21 +303,20 @@ def recognize(sub: Subsystem) -> CartanType:
                     f"base elements {base[i]}, {base[j]} pair positively"
                 )
             if p:
-                pairing[i][j] = p
-                pairing[j][i] = _string_pairing(roots, codes[j], a)
-    seen: set[int] = set()
+                q = _string_pairing(roots, codes[j], a)
+                nbrs[i].append((j, p, q))
+                nbrs[j].append((i, q, p))
+    seen = [False] * k
     components: list[SimpleType] = []
     for start in range(k):
-        if start in seen:
+        if seen[start]:
             continue
-        stack, nodes = [start], []
-        seen.add(start)
-        while stack:
-            i = stack.pop()
-            nodes.append(i)
-            for j in range(k):
-                if j not in seen and pairing[i][j] != 0:
-                    seen.add(j)
-                    stack.append(j)
-        components.append(_classify_component(pairing, sorted(nodes)))
-    return CartanType(tuple(components), rank - k)
+        seen[start] = True
+        nodes = [start]
+        for i in nodes:  # breadth first: nodes grows while it is walked
+            for j, _, _ in nbrs[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    nodes.append(j)
+        components.append(_component_type(nbrs, nodes))
+    return CartanType(tuple(components), ambient.rank - k)

@@ -8,9 +8,12 @@ product, grade() filters and (height, lex) sort the package replaced with
 tables cached per root system, and the pairwise and base-first closure
 oracles are the pass over all pairs of positive members and the walk
 through the base that Subsystem replaced, in turn, with bitmasks over the
-root system's sum triples.  The classification oracle analyzes every
-candidate instead of one per W_K-orbit.  coroot_pairing and
-enumerate_involutions are small helpers the package itself has no use for.
+root system's sum triples.  The type oracle is the tree certificate
+(edge multiplicities, branch arms, arrow direction) that recognize
+replaced with a lookup among the Dynkin diagrams.  The classification
+oracle analyzes every candidate instead of one per W_K-orbit.
+coroot_pairing and enumerate_involutions are small helpers the package
+itself has no use for.
 """
 
 from __future__ import annotations
@@ -266,6 +269,114 @@ def length_pairing(cartan):
         return int(val)
 
     return pairing
+
+
+def tree_certificate_type(sub):
+    """Cartan type of a subsystem, read off a certificate of its base tree.
+
+    The recognizer the package used before its diagram lookup: the base's
+    k x k pairing matrix (from pairing_with_coroot) is split into connected
+    components, and each component is named by edge multiplicities, branch
+    arms and arrow direction.  Raises UnclassifiableSubsystemError for a
+    positive pairing or a diagram that is no Dynkin diagram.
+    """
+    from quatforms import CartanType, SimpleType, UnclassifiableSubsystemError
+    from quatforms.rootsys import pairing_with_coroot
+
+    rs, base = sub.ambient, sub.base
+    k = len(base)
+    pairing = [[pairing_with_coroot(rs, a, b) for b in base] for a in base]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if pairing[i][j] > 0:
+                raise UnclassifiableSubsystemError(
+                    f"base elements {base[i]}, {base[j]} pair positively"
+                )
+
+    def fail(why):
+        return UnclassifiableSubsystemError(f"unclassifiable subsystem: {why}")
+
+    def component(nodes):
+        n = len(nodes)
+        if n == 1:
+            return SimpleType("A", 1)
+        adj = {i: [] for i in range(n)}
+        edges = []  # (i, j, multiplicity)
+        for a in range(n):
+            for b in range(a + 1, n):
+                pab = pairing[nodes[a]][nodes[b]]
+                if pab == 0:
+                    continue
+                mult = pab * pairing[nodes[b]][nodes[a]]
+                if mult not in (1, 2, 3):
+                    raise fail(f"edge multiplicity {mult}")
+                adj[a].append(b)
+                adj[b].append(a)
+                edges.append((a, b, mult))
+        if len(edges) != n - 1:
+            raise fail("base diagram is not a tree")
+        degrees = sorted(len(v) for v in adj.values())
+        triples = [e for e in edges if e[2] == 3]
+        doubles = [e for e in edges if e[2] == 2]
+        if triples:
+            if n == 2:
+                return SimpleType("G", 2)
+            raise fail("triple edge in a diagram of rank > 2")
+        if len(doubles) > 1:
+            raise fail("more than one double edge")
+        if doubles:
+            if degrees[-1] > 2:
+                raise fail("branch point with a double edge")
+            a, b, _ = doubles[0]
+            if n == 2:
+                return SimpleType("B", 2)
+            enda, endb = len(adj[a]) == 1, len(adj[b]) == 1
+            if not enda and not endb:
+                if n == 4:
+                    return SimpleType("F", 4)
+                raise fail("interior double edge outside rank 4")
+            end, other = (a, b) if enda else (b, a)
+            # pairing[long][short] = -2, so the end node is short exactly
+            # when the -2 entry sits in the other node's row.
+            end_is_short = pairing[nodes[other]][nodes[end]] == -2
+            return SimpleType("B" if end_is_short else "C", n)
+        if degrees[-1] <= 2:
+            return SimpleType("A", n)
+        if degrees[-1] > 3 or degrees.count(3) != 1:
+            raise fail("bad branch structure")
+        center = next(i for i in range(n) if len(adj[i]) == 3)
+        arms = []
+        for start in adj[center]:
+            length = 1
+            prev, cur = center, start
+            while len(adj[cur]) == 2:
+                prev, cur = cur, next(x for x in adj[cur] if x != prev)
+                length += 1
+            arms.append(length)
+        arms.sort()
+        if arms[:2] == [1, 1]:
+            return SimpleType("D", n)
+        named = {(1, 2, 2): 6, (1, 2, 3): 7, (1, 2, 4): 8}
+        if tuple(arms) in named:
+            return SimpleType("E", named[tuple(arms)])
+        raise fail(f"branch arms {arms}")
+
+    seen = set()
+    components = []
+    for start in range(k):
+        if start in seen:
+            continue
+        stack, nodes = [start], []
+        seen.add(start)
+        while stack:
+            i = stack.pop()
+            nodes.append(i)
+            for j in range(k):
+                if j not in seen and pairing[i][j] != 0:
+                    seen.add(j)
+                    stack.append(j)
+        components.append(component(sorted(nodes)))
+    return CartanType(tuple(components), rs.rank - k)
 
 
 def coroot_pairing(rs, alpha, i: int) -> int:

@@ -49,8 +49,8 @@ def test_numbering_map_is_identity_except_e7():
 
 def test_f4_display_alias_echoes_symplectic_rank_one():
     f4 = next(c for c in REFERENCE_CASES if c.label == "F4")
-    assert f4.expected_l.render(f4.display_aliases, sep="") == "C3C1"
-    assert f4.expected_v.render(f4.display_aliases, sep="") == "A2T1T1"
+    assert f4.expected_l.render(f4.display_aliases) == "C3 C1"
+    assert f4.expected_v.render(f4.display_aliases) == "A2 T1 T1"
     e8 = next(c for c in REFERENCE_CASES if c.label == "E8")
-    assert e8.expected_l.render(e8.display_aliases, sep="") == "E7A1"
-    assert e8.expected_v.render(e8.display_aliases, sep="") == "E6T1T1"
+    assert e8.expected_l.render(e8.display_aliases) == "E7 A1"
+    assert e8.expected_v.render(e8.display_aliases) == "E6 T1 T1"

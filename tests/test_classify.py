@@ -26,6 +26,7 @@ from quatforms.classify import (
     load_bundled_exceptional,
     wk_orbits,
 )
+from quatforms.involution import centralizer_roots, pairing
 
 from conftest import CLASSIFY_LABELS, GRADED_LABELS
 from oracles import brute_force_classify, enumerate_involutions
@@ -160,6 +161,22 @@ def test_orbit_scan_matches_brute_force(label):
     """Found forms, witnesses, multiplicities and candidates equal the full scan."""
     rs = _rs(label)
     assert classify_equal_rank(rs).to_json() == brute_force_classify(rs).to_json()
+
+
+@pytest.mark.parametrize("label", CLASSIFY_LABELS)
+def test_circle_test_implies_dimension_test(label):
+    """At d = 2 every candidate passing the circle test meets m+ in exactly
+    dim_H M roots, so classify screens by the circle test alone."""
+    rs = _rs(label)
+    gd = quaternionic_decomposition(rs)
+    m_pos = frozenset(gd.m_pos)
+    passed = 0
+    for t in enumerate_involutions(rs):
+        if pairing(rs, t, rs.highest_root) == 0:
+            continue
+        assert len(centralizer_roots(rs, t) & m_pos) == gd.quaternionic_dim
+        passed += 1
+    assert passed
 
 
 @pytest.mark.parametrize("label", GRADED_LABELS)

@@ -49,7 +49,7 @@ def test_analyze_f4_worked_case():
     rs, gd = _setup("F4")
     a = analyze(rs, gd, ToralElement((1, 0, 0, 0), 2, "coroot"))
     assert a.l_type == CartanType.of("C3", "A1")
-    assert a.l_type.render({"A1": "C1"}, sep="") == "C3C1"
+    assert a.l_type.render({"A1": "C1"}) == "C3 C1"
     assert a.v_type == CartanType.of("A2", torus_rank=2)
     assert a.verdict == "complex-form"
 

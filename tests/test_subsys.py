@@ -19,8 +19,21 @@ from quatforms import (
     parse_type,
     recognize,
 )
-from quatforms.rootsys import grade, pairing_with_coroot
-from quatforms.subsys import normalize_components
+from quatforms.rootsys import (
+    CLASSICAL_RANK_CAP,
+    FAMILIES,
+    InvalidTypeError,
+    SimpleType,
+    _cartan_matrix,
+    grade,
+    pairing_with_coroot,
+)
+from quatforms.subsys import (
+    _component_type,
+    _diagram_key,
+    _diagram_types,
+    normalize_components,
+)
 
 from conftest import GRADED_LABELS, SUPPORTED_LABELS
 from oracles import (
@@ -29,6 +42,7 @@ from oracles import (
     pairwise_closure_base,
     regenerate_from_base,
     sorted_positive_roots,
+    tree_certificate_type,
 )
 
 
@@ -327,6 +341,107 @@ def test_recognize_rejects_positive_base_pairing():
         recognize(sub)
 
 
+def _assert_recognize_matches_certificate(sub):
+    assert recognize(sub) == tree_certificate_type(sub)
+
+
+@pytest.mark.parametrize(
+    "label", [s for s in GRADED_LABELS if parse_type(s).rank <= 8]
+)
+def test_recognize_matches_tree_certificate_on_involutions(label):
+    """The diagram lookup names every l and v of a d = 2 candidate as the
+    tree certificate does."""
+    from itertools import product
+
+    rs = build_root_system(parse_type(label))
+    nodes = node_set(rs)
+    for coords in product((0, 1), repeat=rs.rank):
+        t = ToralElement(coords, 2, "coweight")
+        for sub in _centralizer_and_v_slice(rs, nodes, t):
+            _assert_recognize_matches_certificate(sub)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS)
+def test_recognize_matches_tree_certificate_on_higher_order_elements(label):
+    """Seeded d = 3-7 elements; A1 has no grading, so only its centralizer."""
+    rs = build_root_system(parse_type(label))
+    rng = random.Random(f"recognize-{label}")
+    for _ in range(6):
+        d = rng.randint(3, 7)
+        coords = tuple(rng.randrange(d) for _ in range(rs.rank))
+        t = ToralElement(coords, d, rng.choice(["coroot", "coweight"]))
+        if rs.rank == 1:
+            subs = [centralizer(rs, t)]
+        else:
+            subs = _centralizer_and_v_slice(rs, node_set(rs), t)
+        for sub in subs:
+            _assert_recognize_matches_certificate(sub)
+
+
+def _neighbours(n, edges):
+    """Neighbour lists (j, a_ij, a_ji) of a diagram given as (i, j, a_ij, a_ji)."""
+    nbrs = [[] for _ in range(n)]
+    for i, j, aij, aji in edges:
+        nbrs[i].append((j, aij, aji))
+        nbrs[j].append((i, aji, aij))
+    return nbrs
+
+
+def _cartan_neighbours(t):
+    a, n = _cartan_matrix(t), t.rank
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if a[i][j]]
+    return _neighbours(n, [(i, j, a[i][j], a[j][i]) for i, j in pairs])
+
+
+@pytest.mark.parametrize("rank", range(1, CLASSICAL_RANK_CAP + 1))
+def test_diagram_table_holds_every_type_of_its_rank(rank):
+    """Every buildable type is found under its own diagram, and only the
+    low-rank aliases A3/D3 and B2/C2 share a key."""
+    types = []
+    for family in FAMILIES:
+        try:
+            types.append(SimpleType(family, rank))
+        except InvalidTypeError:
+            pass
+    table = _diagram_types(rank)
+    by_key = {}
+    for t in types:
+        nbrs = _cartan_neighbours(t)
+        found = _component_type(nbrs, range(rank))
+        assert CartanType((found,)) == CartanType((t,))
+        by_key.setdefault(_diagram_key(nbrs, range(rank)), []).append(t.label)
+    shared = sorted(labels for labels in by_key.values() if len(labels) > 1)
+    assert shared == {2: [["B2", "C2"]], 3: [["A3", "D3"]]}.get(rank, [])
+    assert set(table) == set(by_key)
+
+
+_NOT_DYNKIN = {
+    "3-cycle": (3, [(0, 1, -1, -1), (1, 2, -1, -1), (0, 2, -1, -1)]),
+    "tree with arms 1, 3, 3": (
+        8,
+        [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -1), (3, 4, -1, -1),
+         (4, 5, -1, -1), (5, 6, -1, -1), (3, 7, -1, -1)],
+    ),
+    "4-chain with two double edges": (
+        4, [(0, 1, -2, -1), (1, 2, -1, -1), (2, 3, -1, -2)]
+    ),
+    "interior double edge at rank 5": (
+        5, [(0, 1, -1, -1), (1, 2, -2, -1), (2, 3, -1, -1), (3, 4, -1, -1)]
+    ),
+    "triple edge at rank 3": (3, [(0, 1, -1, -1), (1, 2, -1, -3)]),
+    "edge with entries -1, -4": (2, [(0, 1, -1, -4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_DYNKIN))
+def test_component_type_rejects_non_dynkin_diagrams(name):
+    n, edges = _NOT_DYNKIN[name]
+    with pytest.raises(
+        UnclassifiableSubsystemError, match="base diagram matches no simple type"
+    ):
+        _component_type(_neighbours(n, edges), list(range(n)))
+
+
 def test_base_pairings_nonpositive():
     rs = build_root_system(parse_type("E7"))
     cent = centralizer(rs, ToralElement((1,) + (0,) * 6, 2, "coweight"))
@@ -347,7 +462,7 @@ def test_normalize_components():
 def test_cartan_type_rendering():
     ct = CartanType.of("A1", "E6", torus_rank=2)
     assert ct.render() == "E6 A1 T1 T1"
-    assert ct.render(sep="") == "E6A1T1T1"
+    assert str(ct) == "E6 A1 T1 T1"
     assert ct.render({"A1": "C1"}) == "E6 C1 T1 T1"
     assert CartanType((), 0).render() == "0"
     assert CartanType((), 2).render() == "T1 T1"
