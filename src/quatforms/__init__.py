@@ -5,90 +5,60 @@ grade it at the highest root's attach node, pick a toral element, centralize,
 slice, and test whether the fixed submanifold is a complex form.  The
 classifier runs the pipeline over all mod-2 coweight candidates and diffs
 the survivors against a bundled registry of known forms.
+
+Importing the package loads none of its modules: each public name is
+looked up in its home module on every access (PEP 562), so a process
+pays only for the modules it uses, and the name always reads the home
+module's current binding.  The analysis pipeline (``subsys``,
+``involution``, ``complexform``) loads as one unit on the first access to
+any of its names, so the first ``analyze`` call after building its inputs
+does not stop to import.
 """
 
-from .rootsys import (
-    GradedDecomposition,
-    GradingError,
-    InvalidTypeError,
-    Root,
-    RootSystem,
-    SimpleType,
-    build_root_system,
-    grade,
-    node_set,
-    parse_type,
-    quaternionic_decomposition,
-)
-from .subsys import (
-    CartanType,
-    NotClosedError,
-    Subsystem,
-    UnclassifiableSubsystemError,
-    base_of,
-    recognize,
-)
-from .involution import (
-    ToralElement,
-    centralizer,
-    convert_to_coweight,
-    pairing,
-)
-from .complexform import (
-    ComplexFormAnalysis,
-    analyze,
-    render_report,
-    step6_count,
-)
-from .classify import (
-    ClassificationReport,
-    FoundForm,
-    GoldenDataError,
-    GoldenEntry,
-    classify_equal_rank,
-    generate_classical,
-    golden_for_type,
-    load_golden,
-)
-from .cases import REFERENCE_CASES, ReferenceCase, run_case
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CartanType",
-    "ClassificationReport",
-    "ComplexFormAnalysis",
-    "FoundForm",
-    "GoldenDataError",
-    "GoldenEntry",
-    "GradedDecomposition",
-    "GradingError",
-    "InvalidTypeError",
-    "NotClosedError",
-    "REFERENCE_CASES",
-    "ReferenceCase",
-    "Root",
-    "RootSystem",
-    "SimpleType",
-    "Subsystem",
-    "ToralElement",
-    "UnclassifiableSubsystemError",
-    "analyze",
-    "base_of",
-    "build_root_system",
-    "centralizer",
-    "classify_equal_rank",
-    "convert_to_coweight",
-    "generate_classical",
-    "golden_for_type",
-    "grade",
-    "load_golden",
-    "node_set",
-    "pairing",
-    "parse_type",
-    "quaternionic_decomposition",
-    "recognize",
-    "render_report",
-    "run_case",
-    "step6_count",
-]
+_HOMES = {
+    "rootsys": (
+        "GradedDecomposition", "GradingError", "InvalidTypeError", "Root",
+        "RootSystem", "SimpleType", "build_root_system", "grade", "node_set",
+        "parse_type", "quaternionic_decomposition",
+    ),
+    "subsys": (
+        "CartanType", "NotClosedError", "Subsystem",
+        "UnclassifiableSubsystemError", "base_of", "recognize",
+    ),
+    "involution": ("ToralElement", "centralizer", "convert_to_coweight", "pairing"),
+    "complexform": ("ComplexFormAnalysis", "analyze", "render_report", "step6_count"),
+    "classify": (
+        "ClassificationReport", "FoundForm", "GoldenDataError", "GoldenEntry",
+        "classify_equal_rank", "generate_classical", "golden_for_type", "load_golden",
+    ),
+    "cases": ("REFERENCE_CASES", "ReferenceCase", "run_case"),
+}
+
+# Public name -> home module.
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+# Home module -> the module whose import loads it; complexform imports
+# subsys and involution.
+_LOADED_BY = {"subsys": "complexform", "involution": "complexform"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # A loaded submodule is bound on the package under its own name.
+    home = globals().get(module)
+    if home is None:
+        import_module(f"{__name__}.{_LOADED_BY.get(module, module)}")
+        home = globals()[module]
+    return getattr(home, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

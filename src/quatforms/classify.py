@@ -27,17 +27,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from itertools import product
 from typing import Iterable
 
 from .complexform import analyze
-from .involution import COWEIGHT, ToralElement, pairing
+from .involution import ToralElement, pairing
 from .rootsys import (
+    COWEIGHT,
     GradedDecomposition,
     InvalidTypeError,
     RootSystem,
     SimpleType,
+    _bundled_text,
     pairing_with_coroot,
     parse_type,
     quaternionic_decomposition,
@@ -174,11 +175,6 @@ def load_golden(path: str) -> list[GoldenEntry]:
 
 
 @lru_cache(maxsize=None)
-def _bundled_text(name: str) -> str:
-    return resources.files("quatforms").joinpath(name).read_text(encoding="utf-8")
-
-
-@lru_cache(maxsize=None)
 def _bundled_exceptional() -> tuple[GoldenEntry, ...]:
     data = json.loads(_bundled_text("data/registry_exceptional.json"))
     entries = [
@@ -188,22 +184,9 @@ def _bundled_exceptional() -> tuple[GoldenEntry, ...]:
     return tuple(_validate_entries(entries, "bundled exceptional registry"))
 
 
-def load_bundled_exceptional() -> list[GoldenEntry]:
-    """The bundled exceptional registry, parsed and validated once per process.
-
-    Each call returns a fresh list of the (frozen) entries.
-    """
-    return list(_bundled_exceptional())
-
-
 def generator_config() -> dict:
     """Per-family tested rank span of the classical generators."""
     return json.loads(_bundled_text("data/classical_generators.json"))
-
-
-def load_table() -> list[dict]:
-    """Rows of the bundled quaternionic dimension table."""
-    return json.loads(_bundled_text("data/quaternionic_table.json"))
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .rootsys import Root, RootSystem
+from .rootsys import COROOT, COWEIGHT, Root, RootSystem
 from .subsys import Subsystem
-
-COROOT = "coroot"
-COWEIGHT = "coweight"
 
 
 @dataclass(frozen=True)

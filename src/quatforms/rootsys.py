@@ -29,13 +29,19 @@ leaves the package.
 The highest root defines a grading by its attach node(s) in the extended
 diagram: grade 1 cuts out the tangent part of the quaternionic symmetric
 space attached to the algebra, grade 0 and 2 its isotropy part.
+
+The module also holds what the root-system CLI verbs need besides roots
+(the names of the toral bases and the reader of the bundled data files),
+so those verbs load no other module of the package.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add
 
 Root = tuple[int, ...]
 
@@ -48,6 +54,10 @@ _E_RANKS = (6, 7, 8)
 
 # Desk-scale cap for the classical families; exceptional types are fixed.
 CLASSICAL_RANK_CAP = 10
+
+# Bases a toral element's coordinates may be given in.
+COROOT = "coroot"
+COWEIGHT = "coweight"
 
 _TYPE_RE = re.compile(r"^([A-Za-z])([0-9]+)$")
 
@@ -188,30 +198,32 @@ def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
     alpha_i-string through alpha does not stop at alpha: with p the largest
     k such that alpha - k*alpha_i is a root, the string extends upward by
     q = p - <alpha, alpha_i-check> steps.  The string is walked on packed
-    codes, where alpha_i is the step 32^(i-1).
+    codes, where alpha_i is the step 32^(i-1).  Each root carries its row
+    of pairings <alpha, alpha_i-check>, which is linear in alpha: the row
+    of alpha_i is A[i], and alpha + alpha_i has row(alpha) + A[i].
     """
     n = len(cartan)
     steps = [_CODE_BASE**i for i in range(n)]
-    known: dict[int, Root] = {
-        steps[i]: tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-    }
-    layer = list(known.items())
+    known: dict[int, Root] = {}
+    layer = []
+    for i, step in enumerate(steps):
+        known[step] = tuple(1 if j == i else 0 for j in range(n))
+        layer.append((step, known[step], cartan[i]))
     while layer:
-        next_layer: list[tuple[int, Root]] = []
-        for code, alpha in layer:
+        next_layer: list[tuple[int, Root, tuple[int, ...]]] = []
+        for code, alpha, row in layer:
             for i, step in enumerate(steps):
-                pairing = sum(alpha[j] * cartan[j][i] for j in range(n))
                 p = 0
                 beta = code - step
                 while beta in known:
                     p += 1
                     beta -= step
-                if p - pairing > 0:
+                if p > row[i]:
                     up = code + step
                     if up not in known:
                         new = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
                         known[up] = new
-                        next_layer.append((up, new))
+                        next_layer.append((up, new, tuple(map(add, row, cartan[i]))))
         layer = next_layer
     return sorted(known.values(), key=lambda r: (sum(r), r))
 
@@ -480,3 +492,19 @@ def quaternionic_decomposition(rs: RootSystem) -> GradedDecomposition:
 def roots_to_json(roots: tuple[Root, ...] | list[Root]) -> list[list[int]]:
     """Serialize a root list as JSON-ready integer vectors."""
     return [list(r) for r in roots]
+
+
+@lru_cache(maxsize=None)
+def _bundled_text(name: str) -> str:
+    """A data file shipped inside the package, read once per process.
+
+    ``importlib.resources`` loads on the first read, not at import.
+    """
+    from importlib import resources
+
+    return resources.files("quatforms").joinpath(name).read_text(encoding="utf-8")
+
+
+def load_table() -> list[dict]:
+    """Rows of the bundled quaternionic dimension table."""
+    return json.loads(_bundled_text("data/quaternionic_table.json"))

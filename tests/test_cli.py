@@ -12,11 +12,6 @@ import pytest
 import quatforms
 from quatforms.cli import main
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
-
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -25,6 +20,8 @@ def _run(capsys, *argv):
 
 
 def _schema(name):
+    """The validator of a bundled schema; skips the test without jsonschema."""
+    jsonschema = pytest.importorskip("jsonschema")
     from referencing import Registry, Resource
 
     base = resources.files("quatforms") / "schemas"
@@ -88,13 +85,16 @@ def test_analyze_text(capsys):
     assert "verdict: complex form" in out
 
 
-def test_analyze_json_schema(capsys):
+def test_analyze_json(capsys):
     code, out = _run(capsys, "analyze", "F4", "--sym", "1,0,0,0", "--json")
     assert code == 0
-    obj = json.loads(out)
-    assert obj["verdict"] == "complex-form"
-    if jsonschema is not None:
-        _schema("analyze_report.schema.json")(obj)
+    assert json.loads(out)["verdict"] == "complex-form"
+
+
+def test_analyze_json_schema(capsys):
+    validate = _schema("analyze_report.schema.json")
+    _code, out = _run(capsys, "analyze", "F4", "--sym", "1,0,0,0", "--json")
+    validate(json.loads(out))
 
 
 def test_analyze_not_complex_form_still_exits_zero(capsys):
@@ -110,14 +110,18 @@ def test_analyze_sym_errors(capsys):
     assert code == 2
 
 
-def test_classify_ok_and_schema(capsys):
+def test_classify_ok(capsys):
     code, out = _run(capsys, "classify", "E7", "--json")
     assert code == 0
     obj = json.loads(out)
     assert obj["ok"] is True
     assert len(obj["found"]) == 3
-    if jsonschema is not None:
-        _schema("classification_report.schema.json")(obj)
+
+
+def test_classify_json_schema(capsys):
+    validate = _schema("classification_report.schema.json")
+    _code, out = _run(capsys, "classify", "E7", "--json")
+    validate(json.loads(out))
 
 
 def test_classify_mismatch_exit_code(tmp_path, capsys):
