@@ -25,6 +25,7 @@ are reported as skipped.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -88,7 +89,9 @@ class GoldenEntry:
         return obj
 
 
-_REQUIRED_FIELDS = {
+# The fields of schemas/golden_entry.schema.json and their types; all but
+# "degenerate" are required, and the int fields are at least 1.
+_FIELDS = {
     "ambient": str,
     "label": str,
     "l_type": dict,
@@ -98,19 +101,26 @@ _REQUIRED_FIELDS = {
     "equal_rank": bool,
     "table_rank": int,
     "table_dim_h": int,
+    "degenerate": bool,
 }
 
 
 def _entry_from_json(obj: dict, where: str) -> GoldenEntry:
     if not isinstance(obj, dict):
         raise GoldenDataError(f"{where}: entry must be an object, got {type(obj).__name__}")
-    for name, typ in _REQUIRED_FIELDS.items():
-        if name not in obj:
+    for name, typ in _FIELDS.items():
+        if name not in obj and name != "degenerate":
             raise GoldenDataError(f"{where}: missing field {name!r}")
-        if not isinstance(obj[name], typ) or (typ is int and isinstance(obj[name], bool)):
-            raise GoldenDataError(
-                f"{where}: field {name!r} must be {typ.__name__}"
-            )
+        value = obj.get(name, False)
+        if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
+            raise GoldenDataError(f"{where}: field {name!r} must be {typ.__name__}")
+        if typ is int and value < 1:
+            raise GoldenDataError(f"{where}: field {name!r} must be at least 1")
+    for name in obj:
+        if name not in _FIELDS:
+            raise GoldenDataError(f"{where}: unknown field {name!r}")
+    if not re.fullmatch("[A-G][0-9]+", obj["ambient"]):
+        raise GoldenDataError(f"{where}: bad ambient type {obj['ambient']!r}")
     try:
         ambient = parse_type(obj["ambient"])
     except InvalidTypeError as exc:
@@ -130,7 +140,7 @@ def _entry_from_json(obj: dict, where: str) -> GoldenEntry:
         equal_rank=obj["equal_rank"],
         table_rank=obj["table_rank"],
         table_dim_h=obj["table_dim_h"],
-        degenerate=bool(obj.get("degenerate", False)),
+        degenerate=obj.get("degenerate", False),
     )
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .involution import ToralElement, centralizer, pairing
+from .involution import ToralElement, _pairing_values
 from .rootsys import GradedDecomposition, Root, RootSystem
-from .subsys import CartanType, Subsystem, recognize
+from .subsys import CartanType, _base_type, _closed_base
 
 COMPLEX_FORM = "complex-form"
 NOT_COMPLEX_FORM = "not-complex-form"
@@ -59,19 +59,20 @@ def step6_count(rs: RootSystem, gd: GradedDecomposition, s_pos: tuple[Root, ...]
     The rows are the positive roots of s, the highest root minus each of
     them (kept even when the difference is not a root), and the positive
     roots of m; the count is the number of distinct rows beyond |m|.  A
-    nonzero value flags s as failing to be maximal totally complex.  Rows
-    are compared as packed root codes; s_pos is checked against the cached
-    set of grade +-1 roots (``GradedDecomposition._m_roots``).
+    nonzero value flags s as failing to be maximal totally complex.
     """
-    m_roots = gd._m_roots
-    if not all(beta in m_roots and sum(beta) > 0 for beta in s_pos):
+    s = [rs._position.get(rs._codes.get(beta)) for beta in s_pos]
+    if not all(x is not None and gd.in_m[x] for x in s):
         raise ValueError("s_pos must consist of grade-1 positive roots")
-    codes = rs._codes
-    theta = codes[rs.highest_root]
-    rows = {codes[beta] for beta in s_pos}
-    rows.update(theta - codes[beta] for beta in s_pos)
-    rows.update(codes[beta] for beta in gd.m_pos)
-    return len(rows) - len(gd.m_pos)
+    return _step6_count(rs, gd, s)
+
+
+def _step6_count(rs: RootSystem, gd: GradedDecomposition, s: list[int]) -> int:
+    """``step6_count`` of the grade-1 positive roots at indices s, on codes."""
+    codes = rs._pos_codes
+    theta = codes[-1]  # build_root_system puts the highest root last
+    rows = {codes[x] for x in s} | {theta - codes[x] for x in s}
+    return len(rows | gd._m_codes) - len(gd.m_pos)
 
 
 def analyze(
@@ -79,32 +80,36 @@ def analyze(
 ) -> ComplexFormAnalysis:
     """Run the full pipeline: centralizer, grade slices, criteria, verdict.
 
-    The centralizer reads the root system's parent table (see
-    ``centralizer_roots``).  The grade slices are taken by membership in
-    the cached set of grade +-1 roots (``GradedDecomposition._m_roots``):
-    s is the centralizer's positive roots inside it, v its roots outside.
+    Every step runs on indices into ``rs.positive_roots``: l keeps those
+    whose pairing with t is 0 mod denom, the circle test reads the highest
+    root's pairing (the last), and ``gd.in_m`` splits l into s (grade 1)
+    and v.  l and v go through the kernels behind ``Subsystem`` (closure
+    check and base) and ``recognize``.  Root tuples appear only in s_pos.
     """
-    cent = centralizer(rs, t)
-    l_type = recognize(cent)
-    m_roots = gd._m_roots
-    s_pos = tuple(alpha for alpha in cent.positive_roots if alpha in m_roots)
-    v_roots = cent.roots - m_roots
-    v_type = recognize(Subsystem(rs, v_roots))
-    circle_ok = pairing(rs, t, rs.highest_root) != 0
-    dim_s = len(s_pos)
+    vals = _pairing_values(rs, t)
+    d = t.denom
+    # Indices stand for positive roots and their negatives, so each set is
+    # symmetric and made of roots by construction; closure is checked.
+    kept = [x for x, v in enumerate(vals) if v % d == 0]
+    in_m, codes = gd.in_m, rs._pos_codes
+    s = [x for x in kept if in_m[x]]
+    l_base = _closed_base(rs, kept)
+    v_base = _closed_base(rs, [x for x in kept if not in_m[x]])
+    circle_ok = vals[-1] % d != 0
+    dim_s = len(s)
     dim_h = gd.quaternionic_dim
     verdict = COMPLEX_FORM if circle_ok and dim_s == dim_h else NOT_COMPLEX_FORM
     return ComplexFormAnalysis(
         ambient=rs.type.label,
         sym=t,
-        l_type=l_type,
-        v_type=v_type,
-        s_pos=s_pos,
+        l_type=_base_type(rs, [codes[x] for x in l_base]),
+        v_type=_base_type(rs, [codes[x] for x in v_base]),
+        s_pos=tuple(rs.positive_roots[x] for x in s),
         circle_ok=circle_ok,
         dim_s=dim_s,
         dim_h=dim_h,
         m_count=len(gd.m_pos),
-        step6_count=step6_count(rs, gd, s_pos),
+        step6_count=_step6_count(rs, gd, s),
         verdict=verdict,
     )
 

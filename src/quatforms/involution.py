@@ -85,22 +85,28 @@ def convert_to_coweight(rs: RootSystem, t: ToralElement) -> ToralElement:
     return ToralElement(_coweight_coords(rs, t), t.denom, COWEIGHT)
 
 
-def centralizer_roots(rs: RootSystem, t: ToralElement) -> frozenset[Root]:
-    """Roots pairing to zero mod denom, as a plain set.
+def _pairing_values(rs: RootSystem, t: ToralElement) -> list[int]:
+    """c . r, not reduced mod denom, for each r in ``positive_roots``.
 
-    The pairing c . r is linear in r, so it is built along the root
-    system's parent table (``RootSystem._parents``): c_i for each simple
-    root alpha_i, then the parent's value plus one coordinate for every
-    other positive root, in exact integers.  A negative root pairs to
-    minus its positive, so the kept positive roots bring their negatives
-    (``RootSystem._negatives``).
+    c . r is linear in r, so it is built along the parent table
+    (``RootSystem._parents``): c_i for each simple root alpha_i, then the
+    parent's value plus one coordinate for every other positive root.
     """
     c = _coweight_coords(rs, t)
-    d = t.denom
     vals = list(reversed(c))  # positive_roots opens with alpha_n, ..., alpha_1
     for p, i in rs._parents:
         vals.append(vals[p] + c[i])
-    keep = [v % d == 0 for v in vals]
+    return vals
+
+
+def centralizer_roots(rs: RootSystem, t: ToralElement) -> frozenset[Root]:
+    """Roots pairing to zero mod denom, as a plain set.
+
+    A negative root pairs to minus its positive, so the positive roots
+    whose ``_pairing_values`` entry is 0 mod denom bring their negatives.
+    """
+    d = t.denom
+    keep = [v % d == 0 for v in _pairing_values(rs, t)]
     return frozenset(compress(rs.positive_roots, keep)) | frozenset(
         compress(rs._negatives, keep)
     )

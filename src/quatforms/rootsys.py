@@ -22,9 +22,9 @@ root (Humphreys, 10.2), so anything linear in the root, such as a toral
 pairing, costs one addition per positive root; a table of the positive
 sum triples alpha + beta = gamma, held as one bitmask pair per positive
 root, so a subsystem's closure check and base are a few big-int
-operations per member; and a GradedDecomposition caches its set of grade
-+-1 roots, so grade slices are set membership.  None of these tables
-leaves the package.
+operations per member.  None of these tables leaves the package.  A
+GradedDecomposition flags its grade-1 roots by index when it is built
+(``in_m``), so grade slices are lookups.
 
 The highest root defines a grading by its attach node(s) in the extended
 diagram: grade 1 cuts out the tangent part of the quaternionic symmetric
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import add
 
@@ -279,11 +279,15 @@ class RootSystem:
         return tuple(table)
 
     @cached_property
+    def _pos_codes(self) -> tuple[int, ...]:
+        """Packed code of each positive root, in ``positive_roots`` order."""
+        return tuple(map(_encode, self.positive_roots))
+
+    @cached_property
     def _codes(self) -> dict[Root, int]:
         """Packed code of every root; a negative root has the negated code."""
         codes = {}
-        for r, neg in zip(self.positive_roots, self._negatives):
-            c = _encode(r)
+        for r, neg, c in zip(self.positive_roots, self._negatives, self._pos_codes):
             codes[r] = c
             codes[neg] = -c
         return codes
@@ -295,8 +299,7 @@ class RootSystem:
     @cached_property
     def _position(self) -> dict[int, int]:
         """Index in ``positive_roots`` of each positive root's code."""
-        codes = self._codes
-        return {codes[r]: k for k, r in enumerate(self.positive_roots)}
+        return {c: k for k, c in enumerate(self._pos_codes)}
 
     @cached_property
     def _sum_triples(self) -> tuple[tuple[int, int, int], ...]:
@@ -439,21 +442,20 @@ class GradedDecomposition:
 
     Grade 1 spans the tangent space of the quaternionic symmetric space
     G/K built on the highest root; grades 0 and 2 span the isotropy
-    algebra.  The highest root is the unique root of grade 2.
+    algebra.  The highest root is the unique root of grade 2.  ``in_m``
+    flags the grade-1 roots by their index in ``positive_roots``.
     """
 
     node_set: frozenset[int]
     k_pos: tuple[Root, ...]
     m_pos: tuple[Root, ...]
     quaternionic_dim: int
+    in_m: tuple[bool, ...] = field(repr=False, compare=False)
 
     @cached_property
-    def _m_roots(self) -> frozenset[Root]:
-        """The roots of grade +-1 (m and its negatives): a root is in this
-        set exactly when its grade is odd."""
-        return frozenset(self.m_pos) | frozenset(
-            tuple(-x for x in r) for r in self.m_pos
-        )
+    def _m_codes(self) -> frozenset[int]:
+        """Packed codes of the grade-1 positive roots."""
+        return frozenset(map(_encode, self.m_pos))
 
 
 @lru_cache(maxsize=None)
@@ -467,10 +469,12 @@ def quaternionic_decomposition(rs: RootSystem) -> GradedDecomposition:
     k_pos: list[Root] = []
     m_pos: list[Root] = []
     grade2: list[Root] = []
+    in_m: list[bool] = []
     for alpha in rs.positive_roots:
         g = grade(rs, nodes, alpha)
         if not 0 <= g <= 2:
             raise RuntimeError(f"grade {g} out of range for {alpha}")
+        in_m.append(g == 1)
         if g == 1:
             m_pos.append(alpha)
         else:
@@ -486,6 +490,7 @@ def quaternionic_decomposition(rs: RootSystem) -> GradedDecomposition:
         k_pos=tuple(k_pos),
         m_pos=tuple(m_pos),
         quaternionic_dim=len(m_pos) // 2,
+        in_m=tuple(in_m),
     )
 
 

@@ -12,6 +12,9 @@ bitmasks per root system, validation costs O(k) big-int operations for
 k positive members.  Each component of the base diagram is looked up in a
 per-rank table of the Dynkin diagrams that build the root systems
 (``rootsys._cartan_matrix``), so the classification is written down once.
+Both steps are kernels on indices and packed codes (``_closed_base``,
+``_base_type``): ``Subsystem`` and ``recognize`` wrap them for root-tuple
+sets, and ``complexform.analyze`` calls them directly.
 """
 
 from __future__ import annotations
@@ -94,27 +97,33 @@ class Subsystem:
         members = sorted([position[c] for c in code_set if c > 0])
         pos = ambient.positive_roots
         object.__setattr__(self, "positive_roots", tuple(pos[x] for x in members))
-        # Role bits are disjoint between roots, so the sum is their union.
-        roles, sums = ambient._triple_masks
-        n_triples = len(ambient._sum_triples)
-        present = sum([roles[x] for x in members])
-        full = (1 << n_triples) - 1
-        u_in = present & full
-        v_in = present >> n_triples & full
-        w_in = present >> 2 * n_triples
-        uv = u_in & v_in
-        bad = (uv | (u_in | v_in) & w_in) & ~(uv & w_in)
-        if bad:
-            # Name the lowest bad triple's two members, the earlier first:
-            # u < v < w in ambient order.
-            t = (bad & -bad).bit_length() - 1
-            u, v, w = ambient._sum_triples[t]
-            if not w_in >> t & 1:
-                raise _missing(pos[u], "+", pos[v])
-            raise _missing(pos[u] if u_in >> t & 1 else pos[v], "-", pos[w])
-        object.__setattr__(
-            self, "base", tuple(pos[x] for x in members if not uv & sums[x])
-        )
+        object.__setattr__(self, "base", tuple(pos[x] for x in _closed_base(ambient, members)))
+
+
+def _closed_base(ambient: RootSystem, members: list[int]) -> list[int]:
+    """Base, as indices, of the symmetric root set whose positive members
+    sit at the ascending indices ``members`` of ``ambient.positive_roots``.
+    Raises NotClosedError, naming a missing root, if the set is not closed."""
+    # Role bits are disjoint between roots, so the sum is their union.
+    roles, sums = ambient._triple_masks
+    n_triples = len(ambient._sum_triples)
+    present = sum([roles[x] for x in members])
+    full = (1 << n_triples) - 1
+    u_in = present & full
+    v_in = present >> n_triples & full
+    w_in = present >> 2 * n_triples
+    uv = u_in & v_in
+    bad = (uv | (u_in | v_in) & w_in) & ~(uv & w_in)
+    if bad:
+        # Name the lowest bad triple's two members, the earlier first:
+        # u < v < w in ambient order.
+        pos = ambient.positive_roots
+        t = (bad & -bad).bit_length() - 1
+        u, v, w = ambient._sum_triples[t]
+        if not w_in >> t & 1:
+            raise _missing(pos[u], "+", pos[v])
+        raise _missing(pos[u] if u_in >> t & 1 else pos[v], "-", pos[w])
+    return [x for x in members if not uv & sums[x]]
 
 
 def base_of(sub: Subsystem) -> list[Root]:
@@ -198,13 +207,16 @@ class CartanType:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CartanType":
-        """Inverse of ``to_json``; ranks must be integers (not bool or float)."""
+        """Inverse of ``to_json``: its keys alone, ranks integers (not bool or float)."""
 
         def count(x: object) -> int:
             if type(x) is not int:
                 raise TypeError(f"rank {x!r} is not an integer")
             return x
 
+        # The keys read below are required, so a count of two rules out others.
+        if len(obj) != 2 or any(len(c) != 2 for c in obj["components"]):
+            raise ValueError(f"unknown key in Cartan type {obj!r}")
         comps = [SimpleType(c["family"], count(c["rank"])) for c in obj["components"]]
         return cls(tuple(comps), count(obj["torus_rank"]))
 
@@ -285,22 +297,26 @@ def recognize(sub: Subsystem) -> CartanType:
     the base size (correct for the full-rank subsystems this package
     produces).
     """
-    base = sub.base
-    ambient = sub.ambient
-    k = len(base)
+    codes = sub.ambient._codes
+    return _base_type(sub.ambient, [codes[r] for r in sub.base])
+
+
+def _base_type(ambient: RootSystem, codes: list[int]) -> CartanType:
+    """Cartan type of the subsystem whose base has these packed codes."""
+    k = len(codes)
     # Base elements are roots of the ambient system, so the pairings come
     # straight from the string walk on packed codes.  <a, b-check> is zero
     # exactly when <b, a-check> is, so the transposed walk runs only when
     # the first is nonzero.
     roots = ambient._code_set
-    codes = [ambient._codes[r] for r in base]
     nbrs: _Neighbours = [[] for _ in range(k)]
     for i, a in enumerate(codes):
         for j in range(i + 1, k):
             p = _string_pairing(roots, a, codes[j])
             if p > 0:
+                pos, at = ambient.positive_roots, ambient._position
                 raise UnclassifiableSubsystemError(
-                    f"base elements {base[i]}, {base[j]} pair positively"
+                    f"base elements {pos[at[a]]}, {pos[at[codes[j]]]} pair positively"
                 )
             if p:
                 q = _string_pairing(roots, codes[j], a)

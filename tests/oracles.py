@@ -10,8 +10,11 @@ oracles are the pass over all pairs of positive members and the walk
 through the base that Subsystem replaced, in turn, with bitmasks over the
 root system's sum triples.  The type oracle is the tree certificate
 (edge multiplicities, branch arms, arrow direction) that recognize
-replaced with a lookup among the Dynkin diagrams.  The classification
-oracle analyzes every candidate instead of one per W_K-orbit.
+replaced with a lookup among the Dynkin diagrams.  The analysis oracle
+is complexform.analyze as it ran on sets of root tuples, through
+Subsystem and recognize, before it moved to positive-root indices; the
+classification oracle analyzes every candidate with it instead of one
+per W_K-orbit.
 coroot_pairing and enumerate_involutions are small helpers the package
 itself has no use for.
 """
@@ -408,13 +411,57 @@ def enumerate_involutions(rs):
     ]
 
 
+def analyze_via_subsystems(rs, gd, t):
+    """complexform.analyze on root-tuple sets, as it ran before it moved to
+    positive-root indices.
+
+    The centralizer is a Subsystem of root tuples, s_pos and the v root
+    set are filtered by membership in the set of grade +-1 roots, v is a
+    second Subsystem, both are typed by recognize, the circle test is the
+    public pairing of t with the highest root, and the step6 rows are root
+    tuples.  Returns the ComplexFormAnalysis that analyze must equal.
+    """
+    from quatforms.complexform import (
+        COMPLEX_FORM,
+        NOT_COMPLEX_FORM,
+        ComplexFormAnalysis,
+    )
+    from quatforms.involution import centralizer, pairing
+    from quatforms.subsys import Subsystem, recognize
+
+    theta = rs.highest_root
+    m_roots = frozenset(gd.m_pos) | {tuple(-x for x in r) for r in gd.m_pos}
+    cent = centralizer(rs, t)
+    s_pos = tuple(alpha for alpha in cent.positive_roots if alpha in m_roots)
+    v_type = recognize(Subsystem(rs, cent.roots - m_roots))
+    circle_ok = pairing(rs, t, theta) != 0
+    rows = set(s_pos) | set(gd.m_pos)
+    rows |= {tuple(x - y for x, y in zip(theta, beta)) for beta in s_pos}
+    dim_h = gd.quaternionic_dim
+    complex_form = circle_ok and len(s_pos) == dim_h
+    return ComplexFormAnalysis(
+        ambient=rs.type.label,
+        sym=t,
+        l_type=recognize(cent),
+        v_type=v_type,
+        s_pos=s_pos,
+        circle_ok=circle_ok,
+        dim_s=len(s_pos),
+        dim_h=dim_h,
+        m_count=len(gd.m_pos),
+        step6_count=len(rows) - len(gd.m_pos),
+        verdict=COMPLEX_FORM if complex_form else NOT_COMPLEX_FORM,
+    )
+
+
 def brute_force_classify(rs, golden_path=None):
     """classify_equal_rank by screening and analyzing all 2^rank candidates.
 
     No orbit reduction: every candidate passing the circle and dimension
-    screens is analyzed and counted once, and the first (lex-smallest)
-    candidate of each (L, V) pair is its witness.  The registry diff repeats
-    the package's, so the report's to_json() must equal the orbit scan's.
+    screens is analyzed, by analyze_via_subsystems, and counted once, and
+    the first (lex-smallest) candidate of each (L, V) pair is its witness.
+    The registry diff repeats the package's, so the report's to_json()
+    must equal the orbit scan's.
     """
     from quatforms.classify import (
         ClassificationReport,
@@ -422,7 +469,6 @@ def brute_force_classify(rs, golden_path=None):
         GoldenDataError,
         golden_for_type,
     )
-    from quatforms.complexform import analyze
     from quatforms.involution import centralizer_roots, pairing
     from quatforms.rootsys import quaternionic_decomposition
 
@@ -441,7 +487,7 @@ def brute_force_classify(rs, golden_path=None):
         cent = centralizer_roots(rs, t)
         if sum(1 for a in m_set if a in cent) != gd.quaternionic_dim:
             continue
-        a = analyze(rs, gd, t)
+        a = analyze_via_subsystems(rs, gd, t)
         if not a.is_complex_form or a.step6_count != 0:
             raise RuntimeError(
                 f"fast screen disagrees with full analysis at {t.describe()}: "

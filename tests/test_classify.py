@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import re
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -347,6 +350,47 @@ def test_load_golden_names_mistyped_field(tmp_path):
         load_golden(path)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"degenerate": "no"}, "entry 0: field 'degenerate' must be bool"),
+        ({"comment": "x"}, "entry 0: unknown field 'comment'"),
+        ({"table_rank": 0}, "entry 0: field 'table_rank' must be at least 1"),
+        ({"table_dim_h": 0}, "entry 0: field 'table_dim_h' must be at least 1"),
+        ({"ambient": "g2"}, "entry 0: bad ambient type 'g2'"),
+        ({"v_type": {"components": [], "torus_rank": 2, "x": 0}}, "unknown key in Cartan type"),
+        (
+            {"v_type": {"components": [{"family": "A", "rank": 1, "x": 0}], "torus_rank": 1}},
+            "unknown key in Cartan type",
+        ),
+    ],
+    ids=[
+        "degenerate-not-bool",
+        "unknown-field",
+        "table-rank-0",
+        "table-dim-h-0",
+        "lowercase-ambient",
+        "cartan-type-key",
+        "component-key",
+    ],
+)
+def test_load_golden_enforces_the_entry_schema(tmp_path, capsys, change, message):
+    """Entries the schema rejects raise, and classify --golden exits 2."""
+    from quatforms.cli import main
+
+    path = _write_golden(tmp_path, [dict(_G2_ENTRY, **change)])
+    with pytest.raises(GoldenDataError, match=re.escape(message)):
+        load_golden(path)
+    assert main(["classify", "G2", "--golden", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_load_golden_keeps_a_boolean_degenerate_flag(tmp_path):
+    for flag in (True, False):
+        entry = load_golden(_write_golden(tmp_path, [dict(_G2_ENTRY, degenerate=flag)]))[0]
+        assert entry.degenerate is flag
+
+
 def test_load_golden_rejects_rank_contradiction(tmp_path):
     bad = dict(_G2_ENTRY, equal_rank=False)
     path = _write_golden(tmp_path, [bad])
@@ -417,3 +461,17 @@ def test_screen_disagreement_raises(monkeypatch, change):
     monkeypatch.setattr(quatforms.classify, "analyze", broken)
     with pytest.raises(RuntimeError, match="fast screen disagrees with full analysis"):
         classify_equal_rank(_rs("G2"))
+
+
+_DIGESTS = Path(__file__).resolve().parent / "classify_digests.json"
+
+
+def test_classify_reports_match_pinned_digests():
+    """Every graded type's report, witnesses and multiplicities included, is
+    pinned by the SHA-256 of its sorted-key JSON, recorded before analyze
+    moved to positive-root indices."""
+    pinned = json.loads(_DIGESTS.read_text(encoding="utf-8"))
+    assert sorted(pinned) == sorted(GRADED_LABELS)
+    for label in GRADED_LABELS:
+        text = json.dumps(classify_equal_rank(_rs(label)).to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned[label], label

@@ -35,6 +35,23 @@ def _schema(name):
     return validator.validate
 
 
+def test_bundled_registry_matches_golden_entry_schema():
+    validate = _schema("golden_entry.schema.json")
+    base = resources.files("quatforms") / "data"
+    validate(json.loads((base / "registry_exceptional.json").read_text(encoding="utf-8")))
+
+
+def test_generated_classical_entries_match_golden_entry_schema():
+    from quatforms.classify import generate_classical, generator_config
+    from quatforms.rootsys import SimpleType
+
+    validate = _schema("golden_entry.schema.json")
+    for family, config in generator_config().items():
+        lo, hi = config["tested_ranks"]
+        for n in range(lo, hi + 1):
+            validate([e.to_json() for e in generate_classical(SimpleType(family, n))])
+
+
 def test_roots_usage_error(capsys):
     code, _ = _run(capsys, "roots", "Z9")
     assert code == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -14,7 +15,6 @@ import quatforms
 import quatforms.complexform as complexform
 from quatforms import (
     CartanType,
-    Subsystem,
     ToralElement,
     analyze,
     build_root_system,
@@ -23,10 +23,17 @@ from quatforms import (
     render_report,
     step6_count,
 )
+from quatforms.classify import _orbit_table
 from quatforms.involution import centralizer
+from quatforms.subsys import Subsystem, _closed_base
 
 from conftest import GRADED_LABELS
-from oracles import disjoint_cover_ok, grade_slices
+from oracles import (
+    analyze_via_subsystems,
+    centralizer_roots_by_dot,
+    disjoint_cover_ok,
+    grade_slices,
+)
 
 
 def _setup(label):
@@ -68,6 +75,14 @@ def test_step6_count_empty_and_full():
     rs, gd = _setup("E8")
     assert step6_count(rs, gd, ()) == 0
     assert step6_count(rs, gd, gd.m_pos) == 0  # theta - m+ stays inside m+
+
+
+def test_step6_count_counts_mirror_rows_outside_m():
+    """Against a grading whose m is s alone, every theta - beta is a new row."""
+    rs, gd = _setup("E8")
+    a = analyze(rs, gd, ToralElement((0,) * 7 + (1,), 2, "coroot"))
+    only_s = dataclasses.replace(gd, m_pos=a.s_pos)
+    assert step6_count(rs, only_s, a.s_pos) == len(a.s_pos) == 28
 
 
 def test_step6_count_rejects_non_m_rows():
@@ -163,21 +178,31 @@ def test_grade1_mirror_stays_in_m(rs_of):
 
 
 def _assert_slices_match_grade_oracle(monkeypatch, rs, gd, t):
-    """analyze's s_pos and v root set equal the grade() filters.
+    """analyze's s_pos, l and v root sets equal the dot-product and grade()
+    filters.
 
-    The v root set is read from the Subsystem analyze builds for it.
+    l and v are read from the positive-root indices analyze hands to the
+    closure kernel, in that order.
     """
-    v_sets = []
+    calls = []
 
-    def spy(ambient, roots):
-        v_sets.append(roots)
-        return Subsystem(ambient, roots)
+    def spy(ambient, members):
+        calls.append(members)
+        return _closed_base(ambient, members)
 
-    monkeypatch.setattr(complexform, "Subsystem", spy)
+    monkeypatch.setattr(complexform, "_closed_base", spy)
     a = analyze(rs, gd, t)
-    s_pos, v_roots = grade_slices(rs, gd, centralizer(rs, t).roots)
+    l_roots = centralizer_roots_by_dot(rs, t)
+    s_pos, v_roots = grade_slices(rs, gd, l_roots)
+    pos = rs.positive_roots
+
+    def roots(members):
+        return frozenset(pos[x] for x in members) | frozenset(
+            tuple(-c for c in pos[x]) for x in members
+        )
+
     assert a.s_pos == s_pos, t.describe()
-    assert v_sets == [v_roots], t.describe()
+    assert [roots(m) for m in calls] == [l_roots, v_roots], t.describe()
 
 
 @pytest.mark.parametrize(
@@ -199,3 +224,53 @@ def test_analyze_slices_match_grade_oracle_on_higher_order_elements(label, monke
         coords = tuple(rng.randrange(d) for _ in range(rs.rank))
         t = ToralElement(coords, d, rng.choice(["coroot", "coweight"]))
         _assert_slices_match_grade_oracle(monkeypatch, rs, gd, t)
+
+
+def _assert_matches_subsystem_oracle(rs, gd, t):
+    a = analyze(rs, gd, t)
+    b = analyze_via_subsystems(rs, gd, t)
+    assert a == b, t.describe()
+    assert a.to_json() == b.to_json(), t.describe()
+
+
+@pytest.mark.parametrize(
+    "label", [s for s in GRADED_LABELS if parse_type(s).rank <= 8]
+)
+def test_analyze_matches_subsystem_oracle_on_involutions(label):
+    rs, gd = _setup(label)
+    for coords in product((0, 1), repeat=rs.rank):
+        _assert_matches_subsystem_oracle(rs, gd, ToralElement(coords, 2, "coweight"))
+
+
+@pytest.mark.parametrize(
+    "label", [s for s in GRADED_LABELS if parse_type(s).rank > 8]
+)
+def test_analyze_matches_subsystem_oracle_on_orbit_representatives(label):
+    rs, gd = _setup(label)
+    for rep, _size in _orbit_table(rs):
+        _assert_matches_subsystem_oracle(rs, gd, ToralElement(rep, 2, "coweight"))
+
+
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_analyze_matches_subsystem_oracle_on_seeded_elements(label):
+    """Uniform coordinates, and small ones that pair to 0 exactly even for
+    the huge denominator, in both bases."""
+    rs, gd = _setup(label)
+    rng = random.Random(f"subsystem-oracle-{label}")
+    for d in (1, 3, 4, 5, 6, 10**21):
+        for basis in ("coroot", "coweight"):
+            for lo, hi in ((0, d), (-2, 3)):
+                coords = tuple(rng.randrange(lo, hi) for _ in range(rs.rank))
+                _assert_matches_subsystem_oracle(rs, gd, ToralElement(coords, d, basis))
+
+
+def test_analyze_builds_no_subsystem(monkeypatch):
+    """analyze stays on positive-root indices: it never builds a Subsystem."""
+
+    def refuse(self):
+        raise AssertionError("analyze built a Subsystem")
+
+    monkeypatch.setattr(Subsystem, "__post_init__", refuse)
+    rs, gd = _setup("E8")
+    a = analyze(rs, gd, ToralElement((0,) * 7 + (1,), 2, "coroot"))
+    assert a.is_complex_form
