@@ -32,7 +32,7 @@ from itertools import product
 from typing import Iterable
 
 from .complexform import analyze
-from .involution import ToralElement, pairing
+from .involution import ToralElement
 from .rootsys import (
     COWEIGHT,
     GradedDecomposition,
@@ -461,13 +461,15 @@ def wk_orbits(
 
 
 @lru_cache(maxsize=None)
-def _orbit_table(rs: RootSystem) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(lex-smallest member, size) of each W_K-orbit, in ``wk_orbits`` order.
-
-    Built once per root system; the 2^rank members are not kept.
+def _orbit_table(rs: RootSystem) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
+    """(lex-smallest member, size, circle verdict) of each W_K-orbit, in
+    ``wk_orbits`` order.  The verdict, theta . c odd, holds for the whole
+    orbit, as W_K sends theta to +-theta.  Built once per root system; the
+    2^rank members are not kept.
     """
-    gd = quaternionic_decomposition(rs)
-    return tuple((orbit[0], len(orbit)) for orbit in wk_orbits(rs, gd))
+    theta = rs.highest_root
+    orbits = wk_orbits(rs, quaternionic_decomposition(rs))
+    return tuple((o[0], len(o), sum(x * y for x, y in zip(o[0], theta)) % 2 == 1) for o in orbits)
 
 
 @dataclass(frozen=True)
@@ -528,32 +530,30 @@ def classify_equal_rank(
 ) -> ClassificationReport:
     """Scan one candidate per W_K-orbit, dedupe the forms, diff the registry.
 
-    Each orbit's lex-smallest member is screened and, if it passes, analyzed;
-    its verdict and (L, V) pair hold for the whole orbit, whose size is added
-    to the form's multiplicity.  Representatives come in lex order, so a
-    form's witness is its lex-smallest candidate, and ``candidates`` still
-    counts all 2^rank of them.  Representatives failing the circle test are
-    rejected without building their analysis.  At d = 2 the circle test
-    implies the dimension test: each grade-1 positive root beta pairs with
-    theta - beta, also a grade-1 positive root, and c(beta) + c(theta -
+    Each orbit's lex-smallest member is analyzed if its orbit passes the
+    circle test; its verdict and (L, V) pair hold for the whole orbit, whose
+    size is added to the form's multiplicity.  Representatives come in lex
+    order, so a form's witness is its lex-smallest candidate, and
+    ``candidates`` still counts all 2^rank of them.  At d = 2 the circle
+    test implies the dimension test: each grade-1 positive root beta pairs
+    with theta - beta, also a grade-1 positive root, and c(beta) + c(theta -
     beta) = c(theta) = 1 mod 2, so exactly one root of each pair lies in
     the centralizer and dim_C S = dim_H M.  A representative whose analysis
-    says otherwise raises RuntimeError.  The orbit table, the grading and the
-    bundled registry are built once per process, so a repeated call pays
-    only for its representatives.
+    says otherwise raises RuntimeError.  The orbit table, with the circle
+    verdicts, the grading and the bundled registry are built once per
+    process, so a repeated call pays only for the passing representatives.
     """
     gd = quaternionic_decomposition(rs)
-    theta = rs.highest_root
 
     found_order: list[tuple[CartanType, CartanType]] = []
     witnesses: dict[tuple[CartanType, CartanType], ToralElement] = {}
     counts: dict[tuple[CartanType, CartanType], int] = {}
     n_candidates = 0
-    for rep, size in _orbit_table(rs):
+    for rep, size, circle_ok in _orbit_table(rs):
         n_candidates += size
-        t = ToralElement(rep, 2, COWEIGHT)
-        if pairing(rs, t, theta) == 0:
+        if not circle_ok:
             continue
+        t = ToralElement(rep, 2, COWEIGHT)
         a = analyze(rs, gd, t)
         if not a.is_complex_form or a.step6_count != 0:
             raise RuntimeError(

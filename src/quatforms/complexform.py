@@ -68,11 +68,11 @@ def step6_count(rs: RootSystem, gd: GradedDecomposition, s_pos: tuple[Root, ...]
 
 
 def _step6_count(rs: RootSystem, gd: GradedDecomposition, s: list[int]) -> int:
-    """``step6_count`` of the grade-1 positive roots at indices s, on codes."""
+    """``step6_count`` of the grade-1 positive roots at indices s: rows outside m."""
     codes = rs._pos_codes
     theta = codes[-1]  # build_root_system puts the highest root last
     rows = {codes[x] for x in s} | {theta - codes[x] for x in s}
-    return len(rows | gd._m_codes) - len(gd.m_pos)
+    return len(rows - gd._m_codes)
 
 
 def analyze(
@@ -91,7 +91,7 @@ def analyze(
     # Indices stand for positive roots and their negatives, so each set is
     # symmetric and made of roots by construction; closure is checked.
     kept = [x for x, v in enumerate(vals) if v % d == 0]
-    in_m, codes = gd.in_m, rs._pos_codes
+    in_m = gd.in_m
     s = [x for x in kept if in_m[x]]
     l_base = _closed_base(rs, kept)
     v_base = _closed_base(rs, [x for x in kept if not in_m[x]])
@@ -102,8 +102,8 @@ def analyze(
     return ComplexFormAnalysis(
         ambient=rs.type.label,
         sym=t,
-        l_type=_base_type(rs, [codes[x] for x in l_base]),
-        v_type=_base_type(rs, [codes[x] for x in v_base]),
+        l_type=_base_type(rs, l_base),
+        v_type=_base_type(rs, v_base),
         s_pos=tuple(rs.positive_roots[x] for x in s),
         circle_ok=circle_ok,
         dim_s=dim_s,

@@ -20,9 +20,10 @@ build_root_system) a RootSystem also caches a parent table that writes
 each non-simple positive root as an earlier positive root plus one simple
 root (Humphreys, 10.2), so anything linear in the root, such as a toral
 pairing, costs one addition per positive root; a table of the positive
-sum triples alpha + beta = gamma, held as one bitmask pair per positive
-root, so a subsystem's closure check and base are a few big-int
-operations per member.  None of these tables leaves the package.  A
+sum triples alpha + beta = gamma, and masks of the positive roots whose
+sum or difference with each positive root is a root, so a subsystem's
+closure check, base and base diagram are a few big-int operations per
+member.  None of these tables leaves the package.  A
 GradedDecomposition flags its grade-1 roots by index when it is built
 (``in_m``), so grade slices are lookups.
 
@@ -319,24 +320,30 @@ class RootSystem:
         return tuple(triples)
 
     @cached_property
-    def _triple_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(roles, sums): one T-triple bitmask pair per positive root.
+    def _triple_masks(self) -> tuple[tuple[int, ...], ...]:
+        """(roles, tops, sums, diffs): four bitmasks per positive root.
 
         roles[x] has bit t when x is the u of triple t, bit T + t when it
-        is the v and bit 2T + t when it is the w; sums[x] has bit t when x
+        is the v and bit 2T + t when it is the w; tops[x] has bit t when x
         is the w.  Each of the 3T role bits belongs to exactly one root,
         so the role masks of a root set can be summed instead of or-ed.
+        sums[x] (diffs[x]) has bit y when [x] + [y] ([x] - [y]) is a root.
         """
         triples = self._sum_triples
         n_triples = len(triples)
         roles = [0] * len(self.positive_roots)
-        sums = [0] * len(self.positive_roots)
+        tops, sums, diffs = roles.copy(), roles.copy(), roles.copy()
         for t, (u, v, w) in enumerate(triples):
             roles[u] |= 1 << t
             roles[v] |= 1 << (n_triples + t)
             roles[w] |= 1 << (2 * n_triples + t)
-            sums[w] |= 1 << t
-        return tuple(roles), tuple(sums)
+            tops[w] |= 1 << t
+            sums[u] |= 1 << v
+            sums[v] |= 1 << u
+            diffs[u] |= 1 << w
+            diffs[v] |= 1 << w
+            diffs[w] |= 1 << u | 1 << v
+        return tuple(roles), tuple(tops), tuple(sums), tuple(diffs)
 
     @cached_property
     def simple_roots(self) -> tuple[Root, ...]:

@@ -9,10 +9,10 @@ and the base of a closed set is its positive members that are the sum of
 no triple with both summands present (Humphreys, Introduction to Lie
 Algebras and Representation Theory, 10.1).  With the triples held as
 bitmasks per root system, validation costs O(k) big-int operations for
-k positive members.  Each component of the base diagram is looked up in a
-per-rank table of the Dynkin diagrams that build the root systems
-(``rootsys._cartan_matrix``), so the classification is written down once.
-Both steps are kernels on indices and packed codes (``_closed_base``,
+k positive members.  The base diagram's edges are read off per-root sum
+masks, and each component is looked up in a per-rank table of the Dynkin
+diagrams that build the root systems (``rootsys._cartan_matrix``).
+Both steps are kernels on positive-root indices (``_closed_base``,
 ``_base_type``): ``Subsystem`` and ``recognize`` wrap them for root-tuple
 sets, and ``complexform.analyze`` calls them directly.
 """
@@ -105,7 +105,7 @@ def _closed_base(ambient: RootSystem, members: list[int]) -> list[int]:
     sit at the ascending indices ``members`` of ``ambient.positive_roots``.
     Raises NotClosedError, naming a missing root, if the set is not closed."""
     # Role bits are disjoint between roots, so the sum is their union.
-    roles, sums = ambient._triple_masks
+    roles, tops, _, _ = ambient._triple_masks
     n_triples = len(ambient._sum_triples)
     present = sum([roles[x] for x in members])
     full = (1 << n_triples) - 1
@@ -123,7 +123,7 @@ def _closed_base(ambient: RootSystem, members: list[int]) -> list[int]:
         if not w_in >> t & 1:
             raise _missing(pos[u], "+", pos[v])
         raise _missing(pos[u] if u_in >> t & 1 else pos[v], "-", pos[w])
-    return [x for x in members if not uv & sums[x]]
+    return [x for x in members if not uv & tops[x]]
 
 
 def base_of(sub: Subsystem) -> list[Root]:
@@ -149,12 +149,13 @@ _LOW_RANK_ALIASES = {
 }
 
 
-def normalize_components(pairs: Iterable[tuple[str, int]]) -> tuple[SimpleType, ...]:
-    """Apply ``_LOW_RANK_ALIASES``, then sort by rank descending and family letter."""
+def normalize_components(parts: Iterable[SimpleType | tuple[str, int]]) -> tuple[SimpleType, ...]:
+    """Apply ``_LOW_RANK_ALIASES``, reusing unaliased SimpleTypes; sort by -rank, family."""
     out: list[SimpleType] = []
-    for family, rank in pairs:
-        for f, r in _LOW_RANK_ALIASES.get((family, rank), ((family, rank),)):
-            out.append(SimpleType(f, r))
+    for part in parts:
+        pair = (part.family, part.rank) if isinstance(part, SimpleType) else part
+        for t in _LOW_RANK_ALIASES.get(pair, (part,)):
+            out.append(t if isinstance(t, SimpleType) else SimpleType(*t))
     out.sort(key=lambda t: (-t.rank, t.family))
     return tuple(out)
 
@@ -173,8 +174,12 @@ class CartanType:
     def __post_init__(self) -> None:
         if self.torus_rank < 0:
             raise ValueError("torus rank must be nonnegative")
-        normalized = normalize_components((t.family, t.rank) for t in self.components)
+        normalized = normalize_components(self.components)
         object.__setattr__(self, "components", normalized)
+        object.__setattr__(self, "_hash", hash((normalized, self.torus_rank)))
+
+    def __hash__(self) -> int:  # cached: classify keys dicts by (L, V) pairs
+        return self._hash
 
     @property
     def semisimple_rank(self) -> int:
@@ -229,7 +234,7 @@ class CartanType:
         return self.render()
 
 
-_Neighbours = list[list[tuple[int, int, int]]]
+_Neighbours = dict[int, list[tuple[int, int, int]]]
 
 
 def _diagram_key(nbrs: _Neighbours, nodes: Sequence[int]) -> tuple:
@@ -273,10 +278,10 @@ def _diagram_types(rank: int) -> dict[tuple, SimpleType]:
         except InvalidTypeError:
             continue
         a = _cartan_matrix(t)
-        nbrs = [
-            [(j, a[i][j], a[j][i]) for j in range(rank) if j != i and a[i][j]]
+        nbrs = {
+            i: [(j, a[i][j], a[j][i]) for j in range(rank) if j != i and a[i][j]]
             for i in range(rank)
-        ]
+        }
         table.setdefault(_diagram_key(nbrs, range(rank)), t)
     return table
 
@@ -297,42 +302,45 @@ def recognize(sub: Subsystem) -> CartanType:
     the base size (correct for the full-rank subsystems this package
     produces).
     """
-    codes = sub.ambient._codes
-    return _base_type(sub.ambient, [codes[r] for r in sub.base])
+    position, codes = sub.ambient._position, sub.ambient._codes
+    return _base_type(sub.ambient, [position[codes[r]] for r in sub.base])
 
 
-def _base_type(ambient: RootSystem, codes: list[int]) -> CartanType:
-    """Cartan type of the subsystem whose base has these packed codes."""
-    k = len(codes)
-    # Base elements are roots of the ambient system, so the pairings come
-    # straight from the string walk on packed codes.  <a, b-check> is zero
-    # exactly when <b, a-check> is, so the transposed walk runs only when
-    # the first is nonzero.
-    roots = ambient._code_set
-    nbrs: _Neighbours = [[] for _ in range(k)]
-    for i, a in enumerate(codes):
-        for j in range(i + 1, k):
-            p = _string_pairing(roots, a, codes[j])
-            if p > 0:
-                pos, at = ambient.positive_roots, ambient._position
-                raise UnclassifiableSubsystemError(
-                    f"base elements {pos[at[a]]}, {pos[at[codes[j]]]} pair positively"
-                )
-            if p:
-                q = _string_pairing(roots, codes[j], a)
-                nbrs[i].append((j, p, q))
-                nbrs[j].append((i, q, p))
-    seen = [False] * k
+def _base_type(ambient: RootSystem, base: list[int]) -> CartanType:
+    """Cartan type of the subsystem whose base is at these positive-root indices.
+
+    Lemma: for base elements a, b of a closed symmetric subsystem S, a - b
+    is no root (closure would put it in S, and a or b would be a sum of two
+    positive members), so the b-string through a starts at a and <a,
+    b-check> = -q is nonzero exactly when a + b is a root (Humphreys 9.4,
+    10.1).  Edges are read off the sum masks, strings are walked along
+    edges only, and a pair differing by a root is refused."""
+    _, _, sums, diffs = ambient._triple_masks
+    codes, roots = ambient._pos_codes, ambient._code_set
+    base_mask = sum([1 << x for x in base])
+    nbrs: _Neighbours = {x: [] for x in base}
+    for x in base:
+        if bad := diffs[x] & base_mask:
+            pos, y = ambient.positive_roots, (bad & -bad).bit_length() - 1
+            raise UnclassifiableSubsystemError(
+                f"base elements {pos[x]}, {pos[y]} pair positively or differ by a root"
+            )
+        edges = sums[x] & base_mask & -(2 << x)  # each edge once, from its lower end
+        while edges:
+            y = (edges & -edges).bit_length() - 1
+            edges &= edges - 1
+            p = _string_pairing(roots, codes[x], codes[y])
+            q = _string_pairing(roots, codes[y], codes[x])
+            nbrs[x].append((y, p, q))
+            nbrs[y].append((x, q, p))
+    left = set(base)
     components: list[SimpleType] = []
-    for start in range(k):
-        if seen[start]:
-            continue
-        seen[start] = True
-        nodes = [start]
+    while left:
+        nodes = [left.pop()]
         for i in nodes:  # breadth first: nodes grows while it is walked
             for j, _, _ in nbrs[i]:
-                if not seen[j]:
-                    seen[j] = True
+                if j in left:
+                    left.remove(j)
                     nodes.append(j)
         components.append(_component_type(nbrs, nodes))
-    return CartanType(tuple(components), ambient.rank - k)
+    return CartanType(tuple(components), ambient.rank - len(base))

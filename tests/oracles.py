@@ -10,7 +10,10 @@ oracles are the pass over all pairs of positive members and the walk
 through the base that Subsystem replaced, in turn, with bitmasks over the
 root system's sum triples.  The type oracle is the tree certificate
 (edge multiplicities, branch arms, arrow direction) that recognize
-replaced with a lookup among the Dynkin diagrams.  The analysis oracle
+replaced with a lookup among the Dynkin diagrams, and the pairwise type
+oracle is that lookup as it ran before it read the base diagram's edges
+off per-root sum masks, walking root strings between every pair of base
+elements.  The analysis oracle
 is complexform.analyze as it ran on sets of root tuples, through
 Subsystem and recognize, before it moved to positive-root indices; the
 classification oracle analyzes every candidate with it instead of one
@@ -380,6 +383,55 @@ def tree_certificate_type(sub):
                     stack.append(j)
         components.append(component(sorted(nodes)))
     return CartanType(tuple(components), rs.rank - k)
+
+
+def pairwise_base_type(ambient, base):
+    """Cartan type of the subsystem whose base sits at these indices of
+    ``ambient.positive_roots``, by root-string walks over all base pairs.
+
+    The kernel subsys._base_type ran before it read the edges off the sum
+    masks: <a, b-check> from the string walk for each of the k(k - 1)/2
+    pairs, the transposed walk where it is nonzero, a positive pairing
+    refused, and each connected component looked up among the Dynkin
+    diagrams.
+    """
+    from quatforms.rootsys import _string_pairing
+    from quatforms.subsys import (
+        CartanType,
+        UnclassifiableSubsystemError,
+        _component_type,
+    )
+
+    codes = [ambient._pos_codes[x] for x in base]
+    k = len(codes)
+    roots = ambient._code_set
+    nbrs = [[] for _ in range(k)]
+    for i, a in enumerate(codes):
+        for j in range(i + 1, k):
+            p = _string_pairing(roots, a, codes[j])
+            if p > 0:
+                pos = ambient.positive_roots
+                raise UnclassifiableSubsystemError(
+                    f"base elements {pos[base[i]]}, {pos[base[j]]} pair positively"
+                )
+            if p:
+                q = _string_pairing(roots, codes[j], a)
+                nbrs[i].append((j, p, q))
+                nbrs[j].append((i, q, p))
+    seen = [False] * k
+    components = []
+    for start in range(k):
+        if seen[start]:
+            continue
+        seen[start] = True
+        nodes = [start]
+        for i in nodes:
+            for j, _, _ in nbrs[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    nodes.append(j)
+        components.append(_component_type(nbrs, nodes))
+    return CartanType(tuple(components), ambient.rank - k)
 
 
 def coroot_pairing(rs, alpha, i: int) -> int:

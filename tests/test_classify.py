@@ -191,9 +191,55 @@ def test_wk_orbits_partition_the_candidates(label):
     assert all(list(orbit) == sorted(orbit) for orbit in orbits)
     reps = [orbit[0] for orbit in orbits]
     assert reps == sorted(reps)
-    assert list(_orbit_table(rs)) == [(orbit[0], len(orbit)) for orbit in orbits]
+    theta = rs.highest_root
+    assert list(_orbit_table(rs)) == [
+        (o[0], len(o), pairing(rs, ToralElement(o[0], 2, "coweight"), theta) != 0) for o in orbits
+    ]
     if label in _ORBIT_COUNTS:
         assert len(orbits) == _ORBIT_COUNTS[label]
+
+
+@pytest.mark.parametrize(
+    "label", [s for s in GRADED_LABELS if parse_type(s).rank <= 8]
+)
+def test_orbit_table_circle_verdict_holds_for_every_member(label):
+    """Each row's stored circle verdict is the pairing of the highest root
+    with every member of its orbit, not only with the representative."""
+    rs = _rs(label)
+    orbits = wk_orbits(rs, quaternionic_decomposition(rs))
+    for (rep, size, circle_ok), orbit in zip(_orbit_table(rs), orbits, strict=True):
+        assert (rep, size) == (orbit[0], len(orbit))
+        for c in orbit:
+            t = ToralElement(c, 2, "coweight")
+            assert circle_ok == (pairing(rs, t, rs.highest_root) != 0), c
+
+
+def test_warm_classify_screens_without_pairing(monkeypatch):
+    """Once the orbit table is built, classify makes no pairing call and
+    builds a toral element only for the orbits passing the circle test."""
+    import quatforms.classify as classify
+    import quatforms.involution as involution
+
+    rs = _rs("D9")
+    classify_equal_rank(rs)  # builds the per-type tables
+
+    def refuse(*args):
+        raise AssertionError("warm classify called pairing")
+
+    monkeypatch.setattr(involution, "pairing", refuse)
+    monkeypatch.setattr(classify, "pairing", refuse, raising=False)
+    built = []
+    post_init = ToralElement.__post_init__
+
+    def count(self):
+        built.append(self.coords)
+        post_init(self)
+
+    monkeypatch.setattr(ToralElement, "__post_init__", count)
+    classify_equal_rank(rs)
+    passing = [rep for rep, _size, circle_ok in _orbit_table(rs) if circle_ok]
+    assert built == passing
+    assert 0 < len(passing) < len(_orbit_table(rs))
 
 
 @pytest.mark.parametrize("label", ["A10", "B10", "C10", "D10"])

@@ -247,7 +247,7 @@ def test_analyze_matches_subsystem_oracle_on_involutions(label):
 )
 def test_analyze_matches_subsystem_oracle_on_orbit_representatives(label):
     rs, gd = _setup(label)
-    for rep, _size in _orbit_table(rs):
+    for rep, _size, _circle_ok in _orbit_table(rs):
         _assert_matches_subsystem_oracle(rs, gd, ToralElement(rep, 2, "coweight"))
 
 

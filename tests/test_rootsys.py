@@ -225,7 +225,7 @@ _T_COUNTS = {
 @pytest.mark.parametrize("label", SUPPORTED_LABELS)
 def test_sum_triple_table_lists_each_positive_sum_once(label):
     """The triples are exactly the pairs u < v of positive roots whose tuple
-    sum is a positive root, in (u, v) order; each role and sum mask has
+    sum is a positive root, in (u, v) order; each role and top mask has
     exactly the bits of the triples it names; _position inverts
     positive_roots."""
     rs = build_root_system(parse_type(label))
@@ -249,13 +249,29 @@ def test_sum_triple_table_lists_each_positive_sum_once(label):
         for k, x in enumerate(triple):
             role_bits[x].add(k * n_triples + t)
         sum_bits[triple[2]].add(t)
-    roles, sums = rs._triple_masks
+    roles, tops, _sums, _diffs = rs._triple_masks
     assert [_bits(m) for m in roles] == role_bits
-    assert [_bits(m) for m in sums] == sum_bits
+    assert [_bits(m) for m in tops] == sum_bits
 
 
 def _bits(mask):
     return {b for b, ch in enumerate(reversed(bin(mask)[2:])) if ch == "1"}
+
+
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_sum_and_diff_masks_match_a_pass_over_all_pairs(label):
+    """sums[x] and diffs[x] hold exactly the positive y with x + y, resp.
+    x - y, in the root set, by tuple arithmetic over all ordered pairs."""
+    rs = build_root_system(parse_type(label))
+    pos, roots = rs.positive_roots, rs.root_set
+    _roles, _tops, sums, diffs = rs._triple_masks
+    for x, a in enumerate(pos):
+        assert _bits(sums[x]) == {
+            y for y, b in enumerate(pos) if tuple(p + q for p, q in zip(a, b)) in roots
+        }
+        assert _bits(diffs[x]) == {
+            y for y, b in enumerate(pos) if tuple(p - q for p, q in zip(a, b)) in roots
+        }
 
 
 def test_codes_distinct_on_sums_of_bounded_vectors():

@@ -19,16 +19,22 @@ from quatforms import (
     parse_type,
     recognize,
 )
+from quatforms.classify import _orbit_table
+from quatforms.involution import _pairing_values
 from quatforms.rootsys import (
     CLASSICAL_RANK_CAP,
     FAMILIES,
     InvalidTypeError,
     SimpleType,
     _cartan_matrix,
+    _string_pairing,
     grade,
     pairing_with_coroot,
+    quaternionic_decomposition,
 )
 from quatforms.subsys import (
+    _base_type,
+    _closed_base,
     _component_type,
     _diagram_key,
     _diagram_types,
@@ -39,6 +45,7 @@ from conftest import GRADED_LABELS, SUPPORTED_LABELS
 from oracles import (
     base_first_closure_base,
     indecomposable_base,
+    pairwise_base_type,
     pairwise_closure_base,
     regenerate_from_base,
     sorted_positive_roots,
@@ -339,6 +346,80 @@ def test_recognize_rejects_positive_base_pairing():
     object.__setattr__(sub, "base", ((1, 0), (1, 1)))
     with pytest.raises(UnclassifiableSubsystemError, match="pair positively"):
         recognize(sub)
+
+
+def test_recognize_rejects_base_elements_differing_by_a_root():
+    """Short roots of B2 that pair to 0 but differ by a long root are no
+    base of any closed subsystem, so they are refused, not typed A1 A1."""
+    rs, sub = _full("B2")
+    object.__setattr__(sub, "base", ((0, 1), (1, 1)))
+    assert pairing_with_coroot(rs, (0, 1), (1, 1)) == 0
+    with pytest.raises(UnclassifiableSubsystemError, match="pair positively"):
+        recognize(sub)
+
+
+def _l_and_v_bases(rs, gd, t):
+    """The bases of l and v that analyze types, as positive-root indices."""
+    kept = [x for x, v in enumerate(_pairing_values(rs, t)) if v % t.denom == 0]
+    return _closed_base(rs, kept), _closed_base(rs, [x for x in kept if not gd.in_m[x]])
+
+
+def _base_type_test_elements(rs):
+    """Every mod-2 candidate up to rank 8, every orbit representative
+    above, and seeded d = 3-6 elements in both bases."""
+    from itertools import product
+
+    if rs.rank <= 8:
+        reps = product((0, 1), repeat=rs.rank)
+    else:
+        reps = (rep for rep, _size, _circle_ok in _orbit_table(rs))
+    elements = [ToralElement(c, 2, "coweight") for c in reps]
+    rng = random.Random(f"base-type-{rs.type.label}")
+    for d in range(3, 7):
+        for basis in ("coroot", "coweight"):
+            coords = tuple(rng.randrange(d) for _ in range(rs.rank))
+            elements.append(ToralElement(coords, d, basis))
+    return elements
+
+
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_base_type_matches_pairwise_oracle(label):
+    """The edge-mask kernel types every l and v base as the walk over all
+    base pairs does."""
+    rs = build_root_system(parse_type(label))
+    gd = quaternionic_decomposition(rs)
+    for t in _base_type_test_elements(rs):
+        for base in _l_and_v_bases(rs, gd, t):
+            assert _base_type(rs, base) == pairwise_base_type(rs, base), t.describe()
+
+
+@pytest.mark.parametrize("label", ["D6", "F4", "E8"])
+def test_base_type_walks_root_strings_only_along_edges(label, monkeypatch):
+    """Two string walks per edge of the base diagram, none for the other
+    pairs; edges are counted here by pairing_with_coroot over all pairs."""
+    import quatforms.subsys as subsys
+
+    walks = []
+
+    def counting(roots, a, b):
+        walks.append((a, b))
+        return _string_pairing(roots, a, b)
+
+    monkeypatch.setattr(subsys, "_string_pairing", counting)
+    rs = build_root_system(parse_type(label))
+    gd = quaternionic_decomposition(rs)
+    pos = rs.positive_roots
+    for t in _base_type_test_elements(rs):
+        for base in _l_and_v_bases(rs, gd, t):
+            walks.clear()
+            _base_type(rs, base)
+            edges = sum(
+                1
+                for i, x in enumerate(base)
+                for y in base[i + 1 :]
+                if pairing_with_coroot(rs, pos[x], pos[y])
+            )
+            assert len(walks) == 2 * edges, t.describe()
 
 
 def _assert_recognize_matches_certificate(sub):
