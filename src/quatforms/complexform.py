@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .involution import ToralElement, _pairing_values
 from .rootsys import GradedDecomposition, Root, RootSystem
-from .subsys import CartanType, _base_type, _closed_base
+from .subsys import _A1, CartanType, _base_diagram, _closed_base, _components
 
 COMPLEX_FORM = "complex-form"
 NOT_COMPLEX_FORM = "not-complex-form"
@@ -83,8 +83,15 @@ def analyze(
     Every step runs on indices into ``rs.positive_roots``: l keeps those
     whose pairing with t is 0 mod denom, the circle test reads the highest
     root's pairing (the last), and ``gd.in_m`` splits l into s (grade 1)
-    and v.  l and v go through the kernels behind ``Subsystem`` (closure
-    check and base) and ``recognize``.  Root tuples appear only in s_pos.
+    and v.  l and v go through the closure check and base of ``Subsystem``;
+    l's base diagram, read once by the kernels behind ``recognize``, types
+    both.  Root tuples appear only in s_pos.
+
+    Lemma: the grading g is additive and >= 0 on positive roots, theta
+    alone has g = 2, and g = 0 roots are orthogonal to theta.  So v = (l ^
+    g^-1(0)) + {+-theta if theta in l}, and the base of l ^ g^-1(0) is l's
+    base nodes with g = 0 (Bourbaki, Lie VI 1.7): v is typed from l's
+    diagram on those nodes, plus A1 when the circle test fails.
     """
     vals = _pairing_values(rs, t)
     d = t.denom
@@ -96,14 +103,21 @@ def analyze(
     l_base = _closed_base(rs, kept)
     v_base = _closed_base(rs, [x for x in kept if not in_m[x]])
     circle_ok = vals[-1] % d != 0
+    theta = len(vals) - 1
+    v0 = [x for x in l_base if not in_m[x] and x != theta]  # l's grade-0 base nodes
+    if v0 + [theta] * (not circle_ok) != v_base:
+        raise RuntimeError(f"v base at {t.describe()} is not l's grade-0 base plus theta")
+    nbrs = _base_diagram(rs, l_base)  # theta + x is no root, so theta meets no edge
+    v_parts = _components({x: [e for e in nbrs[x] if not in_m[e[0]]] for x in v0})
+    v_parts += [_A1] * (not circle_ok)
     dim_s = len(s)
     dim_h = gd.quaternionic_dim
     verdict = COMPLEX_FORM if circle_ok and dim_s == dim_h else NOT_COMPLEX_FORM
     return ComplexFormAnalysis(
         ambient=rs.type.label,
         sym=t,
-        l_type=_base_type(rs, l_base),
-        v_type=_base_type(rs, v_base),
+        l_type=CartanType(tuple(_components(nbrs)), rs.rank - len(l_base)),
+        v_type=CartanType(tuple(v_parts), rs.rank - len(v_base)),
         s_pos=tuple(rs.positive_roots[x] for x in s),
         circle_ok=circle_ok,
         dim_s=dim_s,

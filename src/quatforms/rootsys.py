@@ -4,7 +4,7 @@ A root is an integer coefficient vector over the simple roots.  Simple roots
 are numbered 1..rank following Bourbaki (plates I-IX); all public indices in
 this package are 1-based Bourbaki indices.  Cartan pairings of two roots
 are read off root strings inside the root set, so all arithmetic stays on
-integer coefficient vectors; no root lengths are stored.
+integer coefficient vectors.
 
 Roots are tuples at every API; inside the hot loops (root generation, root
 strings, subsystem closure, step6 rows) each root is packed into one int,
@@ -23,7 +23,8 @@ pairing, costs one addition per positive root; a table of the positive
 sum triples alpha + beta = gamma, and masks of the positive roots whose
 sum or difference with each positive root is a root, so a subsystem's
 closure check, base and base diagram are a few big-int operations per
-member.  None of these tables leaves the package.  A
+member; and each positive root's squared length, for the pairings across
+a base diagram's edges.  None of these tables leaves the package.  A
 GradedDecomposition flags its grade-1 roots by index when it is built
 (``in_m``), so grade slices are lookups.
 
@@ -234,13 +235,17 @@ class RootSystem:
     """A simple root system with its Cartan data and highest root.
 
     Immutable; positive roots are ordered by height then lexicographically
-    by coefficients, which places the highest root last.
+    by coefficients, which places the highest root last.  The hash (taken
+    by per-type caches on every call) reads the type alone, which fixes the rest.
     """
 
     type: SimpleType
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
     highest_root: Root
+
+    def __hash__(self) -> int:
+        return hash(self.type)
 
     @property
     def rank(self) -> int:
@@ -344,6 +349,27 @@ class RootSystem:
             diffs[v] |= 1 << w
             diffs[w] |= 1 << u | 1 << v
         return tuple(roles), tuple(tops), tuple(sums), tuple(diffs)
+
+    @cached_property
+    def _sq_lengths(self) -> tuple[int, ...]:
+        """Squared length of each positive root, short roots 1: |a_j|^2 / |a_i|^2 =
+        A[j][i] / A[i][j] across simple edges, then |b + a_i|^2 = |b|^2 + |a_i|^2
+        (1 + <b, a_i-check>) along ``_parents``, carrying each root's pairing row."""
+        a, n = self.cartan, self.rank
+        d, stack = [6] + [0] * (n - 1), [0]  # 6 is divisible by the ratios 2 and 3
+        while stack:  # the diagram is connected
+            i = stack.pop()
+            for j in range(n):
+                if a[i][j] and not d[j]:
+                    d[j] = d[i] * a[j][i] // a[i][j]
+                    stack.append(j)
+        short = min(d)
+        d = [x // short for x in d]
+        rows, lengths = [a[i] for i in reversed(range(n))], d[::-1]
+        for p, i in self._parents:
+            rows.append(tuple(map(add, rows[p], a[i])))
+            lengths.append(lengths[p] + d[i] * (1 + rows[p][i]))
+        return tuple(lengths)
 
     @cached_property
     def simple_roots(self) -> tuple[Root, ...]:

@@ -10,17 +10,19 @@ no triple with both summands present (Humphreys, Introduction to Lie
 Algebras and Representation Theory, 10.1).  With the triples held as
 bitmasks per root system, validation costs O(k) big-int operations for
 k positive members.  The base diagram's edges are read off per-root sum
-masks, and each component is looked up in a per-rank table of the Dynkin
-diagrams that build the root systems (``rootsys._cartan_matrix``).
-Both steps are kernels on positive-root indices (``_closed_base``,
-``_base_type``): ``Subsystem`` and ``recognize`` wrap them for root-tuple
-sets, and ``complexform.analyze`` calls them directly.
+masks and its Cartan entries off root lengths, and each component is
+looked up by a packed key in a per-rank table of the Dynkin diagrams that
+build the root systems (``rootsys._cartan_matrix``).  Both steps are
+kernels on positive-root indices (``_closed_base``, ``_base_diagram``):
+``Subsystem`` and ``recognize`` wrap them for root-tuple sets, and
+``complexform.analyze`` calls them directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .rootsys import (
@@ -30,7 +32,6 @@ from .rootsys import (
     RootSystem,
     SimpleType,
     _cartan_matrix,
-    _string_pairing,
     parse_type,
 )
 
@@ -235,16 +236,21 @@ class CartanType:
 
 
 _Neighbours = dict[int, list[tuple[int, int, int]]]
+_A1 = SimpleType("A", 1)
+# The 27 classes (a_ij, a_ji, degree of j) a Dynkin diagram's neighbours can show.
+_EDGE_CLASSES = {c: 4**k for k, c in enumerate(product((-1, -2, -3), (-1, -2, -3), (1, 2, 3)))}
 
 
-def _diagram_key(nbrs: _Neighbours, nodes: Sequence[int]) -> tuple:
+def _diagram_key(nbrs: _Neighbours, nodes: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Isomorphism key of one connected base diagram.
 
     ``nbrs[i]`` lists ``(j, a_ij, a_ji)`` for each neighbour j of node i,
     a_ij = <b_i, b_j-check>.  The key is the node count and the sorted
-    multiset over the nodes of each node's sorted tuple of (a_ij, a_ji,
-    degree of j).  A connected diagram shares a key with a Dynkin diagram
-    only if it is that diagram:
+    ints that pack each node's multiset of (a_ij, a_ji, degree of j), as
+    the sum of their ``_EDGE_CLASSES``.  A neighbour outside those classes
+    raises KeyError, so all degrees are at most 3, no count overflows its
+    two bits, and the ints hold the multisets.  A connected diagram shares
+    a key with a Dynkin diagram only if it is that diagram:
 
     - The degrees fix the edge count, so a match with n nodes has n - 1
       edges and is a tree.
@@ -255,12 +261,14 @@ def _diagram_key(nbrs: _Neighbours, nodes: Sequence[int]) -> tuple:
       degree-2 nodes fix which arm has length 2, so E8 (arms 1, 2, 4)
       differs from the tree with arms 1, 3, 3.
     """
-    return len(nodes), tuple(
-        sorted(
-            tuple(sorted((aij, aji, len(nbrs[j])) for j, aij, aji in nbrs[i]))
-            for i in nodes
-        )
-    )
+    ints = []
+    for i in nodes:  # plain loops: a comprehension per node costs twice the time
+        packed = 0
+        for j, aij, aji in nbrs[i]:
+            packed += _EDGE_CLASSES[aij, aji, len(nbrs[j])]
+        ints.append(packed)
+    ints.sort()
+    return len(nodes), tuple(ints)
 
 
 @lru_cache(maxsize=None)
@@ -288,10 +296,10 @@ def _diagram_types(rank: int) -> dict[tuple, SimpleType]:
 
 def _component_type(nbrs: _Neighbours, nodes: Sequence[int]) -> SimpleType:
     """The simple type of one connected base diagram, by table lookup."""
-    t = _diagram_types(len(nodes)).get(_diagram_key(nbrs, nodes))
-    if t is None:
-        raise UnclassifiableSubsystemError("base diagram matches no simple type")
-    return t
+    try:
+        return _diagram_types(len(nodes))[_diagram_key(nbrs, nodes)]
+    except KeyError:
+        raise UnclassifiableSubsystemError("base diagram matches no simple type") from None
 
 
 def recognize(sub: Subsystem) -> CartanType:
@@ -307,16 +315,22 @@ def recognize(sub: Subsystem) -> CartanType:
 
 
 def _base_type(ambient: RootSystem, base: list[int]) -> CartanType:
-    """Cartan type of the subsystem whose base is at these positive-root indices.
+    """Cartan type of the subsystem whose base is at these positive-root indices."""
+    return CartanType(tuple(_components(_base_diagram(ambient, base))), ambient.rank - len(base))
+
+
+def _base_diagram(ambient: RootSystem, base: list[int]) -> _Neighbours:
+    """Neighbour lists of the base diagram at these positive-root indices.
 
     Lemma: for base elements a, b of a closed symmetric subsystem S, a - b
     is no root (closure would put it in S, and a or b would be a sum of two
     positive members), so the b-string through a starts at a and <a,
     b-check> = -q is nonzero exactly when a + b is a root (Humphreys 9.4,
-    10.1).  Edges are read off the sum masks, strings are walked along
-    edges only, and a pair differing by a root is refused."""
+    10.1).  Edges are read off the sum masks, a pair differing by a root is
+    refused, and across an edge with |a| >= |b|, <a, b-check> = -|a|^2/|b|^2
+    and <b, a-check> = -1 (Humphreys 9.4): no root string is walked."""
     _, _, sums, diffs = ambient._triple_masks
-    codes, roots = ambient._pos_codes, ambient._code_set
+    lengths = ambient._sq_lengths
     base_mask = sum([1 << x for x in base])
     nbrs: _Neighbours = {x: [] for x in base}
     for x in base:
@@ -326,21 +340,30 @@ def _base_type(ambient: RootSystem, base: list[int]) -> CartanType:
                 f"base elements {pos[x]}, {pos[y]} pair positively or differ by a root"
             )
         edges = sums[x] & base_mask & -(2 << x)  # each edge once, from its lower end
+        lx = lengths[x]
         while edges:
             y = (edges & -edges).bit_length() - 1
             edges &= edges - 1
-            p = _string_pairing(roots, codes[x], codes[y])
-            q = _string_pairing(roots, codes[y], codes[x])
+            ly = lengths[y]  # lengths are 1 or r, so lx // ly is r, 1 or 0
+            p, q = -(lx // ly or 1), -(ly // lx or 1)
             nbrs[x].append((y, p, q))
             nbrs[y].append((x, q, p))
-    left = set(base)
-    components: list[SimpleType] = []
+    return nbrs
+
+
+def _components(nbrs: _Neighbours) -> list[SimpleType]:
+    """Simple type of each component of a base diagram; an isolated node is A1, unkeyed."""
+    left = set(nbrs)
+    parts: list[SimpleType] = []
     while left:
         nodes = [left.pop()]
+        if not nbrs[nodes[0]]:
+            parts.append(_A1)
+            continue
         for i in nodes:  # breadth first: nodes grows while it is walked
             for j, _, _ in nbrs[i]:
                 if j in left:
                     left.remove(j)
                     nodes.append(j)
-        components.append(_component_type(nbrs, nodes))
-    return CartanType(tuple(components), ambient.rank - len(base))
+        parts.append(_component_type(nbrs, nodes))
+    return parts

@@ -1,10 +1,21 @@
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 
-from quatforms import InvalidTypeError, SimpleType, build_root_system, parse_type
-from quatforms.classify import CLASSICAL_FAMILIES, generator_config
+from quatforms import (
+    InvalidTypeError,
+    SimpleType,
+    ToralElement,
+    build_root_system,
+    parse_type,
+)
+from quatforms.classify import CLASSICAL_FAMILIES, _orbit_table, generator_config
+from quatforms.involution import _pairing_values
 from quatforms.rootsys import CLASSICAL_RANK_CAP
+from quatforms.subsys import _closed_base
 
 EXCEPTIONAL_LABELS = ["G2", "F4", "E6", "E7", "E8"]
 
@@ -34,6 +45,38 @@ CLASSIFY_LABELS = EXCEPTIONAL_LABELS + [
     for family, config in generator_config().items()
     for n in range(config["tested_ranks"][0], config["tested_ranks"][1] + 1)
 ]
+
+
+def base_type_test_elements(rs):
+    """Every mod-2 candidate up to rank 8, every orbit representative
+    above, seeded d = 3-6 elements in both bases, and elements whose
+    centralizer holds the highest root: d = 1, and seeded d = 7 in both
+    bases."""
+    if rs.rank <= 8:
+        reps = product((0, 1), repeat=rs.rank)
+    else:
+        reps = (rep for rep, _size, _circle_ok in _orbit_table(rs))
+    elements = [ToralElement(c, 2, "coweight") for c in reps]
+    rng = random.Random(f"base-type-{rs.type.label}")
+    for d in range(3, 7):
+        for basis in ("coroot", "coweight"):
+            coords = tuple(rng.randrange(d) for _ in range(rs.rank))
+            elements.append(ToralElement(coords, d, basis))
+    elements.append(ToralElement((0,) * rs.rank, 1, "coweight"))
+    for basis in ("coroot", "coweight"):
+        found = 0
+        while found < 2:
+            t = ToralElement(tuple(rng.randrange(7) for _ in range(rs.rank)), 7, basis)
+            if _pairing_values(rs, t)[-1] % 7 == 0:  # the highest root is last
+                elements.append(t)
+                found += 1
+    return elements
+
+
+def l_and_v_bases(rs, gd, t):
+    """The bases of l and v that analyze types, as positive-root indices."""
+    kept = [x for x, v in enumerate(_pairing_values(rs, t)) if v % t.denom == 0]
+    return _closed_base(rs, kept), _closed_base(rs, [x for x in kept if not gd.in_m[x]])
 
 
 @pytest.fixture(scope="session")

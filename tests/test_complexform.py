@@ -24,10 +24,11 @@ from quatforms import (
     step6_count,
 )
 from quatforms.classify import _orbit_table
-from quatforms.involution import centralizer
+from quatforms.involution import _pairing_values, centralizer
+from quatforms.rootsys import grade
 from quatforms.subsys import Subsystem, _closed_base
 
-from conftest import GRADED_LABELS
+from conftest import GRADED_LABELS, base_type_test_elements, l_and_v_bases
 from oracles import (
     analyze_via_subsystems,
     centralizer_roots_by_dot,
@@ -262,6 +263,36 @@ def test_analyze_matches_subsystem_oracle_on_seeded_elements(label):
             for lo, hi in ((0, d), (-2, 3)):
                 coords = tuple(rng.randrange(lo, hi) for _ in range(rs.rank))
                 _assert_matches_subsystem_oracle(rs, gd, ToralElement(coords, d, basis))
+
+
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_v_base_is_l_grade0_base_plus_highest_root(label):
+    """The lemma in analyze's docstring: v's base is l's base nodes of
+    grade 0, plus the highest root (the last index) when l holds it."""
+    rs, gd = _setup(label)
+    theta = len(rs.positive_roots) - 1
+    grade0 = [x for x, r in enumerate(rs.positive_roots) if grade(rs, gd.node_set, r) == 0]
+    for t in base_type_test_elements(rs):
+        l_base, v_base = l_and_v_bases(rs, gd, t)
+        derived = [x for x in l_base if x in grade0]
+        if _pairing_values(rs, t)[-1] % t.denom == 0:
+            derived.append(theta)
+        assert derived == v_base, t.describe()
+
+
+def test_analyze_refuses_a_v_base_off_the_lemma(monkeypatch):
+    """A v base that is not l's grade-0 base plus theta raises, also under -O."""
+    calls = []
+
+    def drop_last_of_v(ambient, members):
+        calls.append(members)
+        base = _closed_base(ambient, members)
+        return base[:-1] if len(calls) == 2 else base
+
+    monkeypatch.setattr(complexform, "_closed_base", drop_last_of_v)
+    rs, gd = _setup("E8")
+    with pytest.raises(RuntimeError, match="grade-0 base plus theta"):
+        analyze(rs, gd, ToralElement((0,) * 7 + (1,), 2, "coroot"))
 
 
 def test_analyze_builds_no_subsystem(monkeypatch):

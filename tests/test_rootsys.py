@@ -20,7 +20,13 @@ from quatforms.rootsys import (
 )
 
 from conftest import GRADED_LABELS, SUPPORTED_LABELS
-from oracles import coroot_pairing, length_pairing, positive_part, reflection_closure
+from oracles import (
+    coroot_pairing,
+    length_pairing,
+    positive_part,
+    reflection_closure,
+    squared_lengths,
+)
 
 
 def test_parse_type_examples():
@@ -272,6 +278,39 @@ def test_sum_and_diff_masks_match_a_pass_over_all_pairs(label):
         assert _bits(diffs[x]) == {
             y for y, b in enumerate(pos) if tuple(p - q for p, q in zip(a, b)) in roots
         }
+
+
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_squared_length_table_matches_length_oracle(label):
+    """Each positive root's entry is (r, r) over the short roots' squared
+    length, from the oracle's simple-root lengths, and its ratio to the
+    highest root's entry is the ratio of the oracle's pairings."""
+    rs = build_root_system(parse_type(label))
+    a, n = rs.cartan, rs.rank
+    s = [int(3 * x) for x in squared_lengths(a)]  # long roots 6, G2's short 2
+    pairing = length_pairing(a)
+    table, theta = rs._sq_lengths, rs.highest_root
+    assert min(table) == 1
+    for r, length in zip(rs.positive_roots, table):
+        # (r, r) = sum of r_i r_j (alpha_i, alpha_j), and (alpha_i, alpha_j) = a_ij s_j / 6
+        assert 2 * min(s) * length == sum(
+            r[i] * r[j] * a[i][j] * s[j] for i in range(n) for j in range(n)
+        ), r
+        # <r, theta-check> |theta|^2 = 2 (r, theta) = <theta, r-check> |r|^2
+        assert pairing(r, theta) * table[-1] == pairing(theta, r) * length, r
+
+
+def test_root_system_hashes_by_type_and_compares_by_field():
+    """A root system rebuilt field by field is equal, hashes equal and finds
+    the cached grading of the one build_root_system returned."""
+    from dataclasses import fields
+
+    from quatforms.rootsys import RootSystem
+
+    rs = build_root_system(parse_type("E7"))
+    copy = RootSystem(**{f.name: getattr(rs, f.name) for f in fields(rs)})
+    assert copy is not rs and copy == rs and hash(copy) == hash(rs)
+    assert quaternionic_decomposition(copy) is quaternionic_decomposition(rs)
 
 
 def test_codes_distinct_on_sums_of_bounded_vectors():

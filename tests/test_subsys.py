@@ -12,6 +12,7 @@ from quatforms import (
     Subsystem,
     ToralElement,
     UnclassifiableSubsystemError,
+    analyze,
     base_of,
     build_root_system,
     centralizer,
@@ -19,29 +20,32 @@ from quatforms import (
     parse_type,
     recognize,
 )
-from quatforms.classify import _orbit_table
-from quatforms.involution import _pairing_values
 from quatforms.rootsys import (
     CLASSICAL_RANK_CAP,
     FAMILIES,
     InvalidTypeError,
     SimpleType,
     _cartan_matrix,
-    _string_pairing,
     grade,
     pairing_with_coroot,
     quaternionic_decomposition,
 )
 from quatforms.subsys import (
+    _EDGE_CLASSES,
+    _base_diagram,
     _base_type,
-    _closed_base,
     _component_type,
     _diagram_key,
     _diagram_types,
     normalize_components,
 )
 
-from conftest import GRADED_LABELS, SUPPORTED_LABELS
+from conftest import (
+    GRADED_LABELS,
+    SUPPORTED_LABELS,
+    base_type_test_elements,
+    l_and_v_bases,
+)
 from oracles import (
     base_first_closure_base,
     indecomposable_base,
@@ -358,68 +362,54 @@ def test_recognize_rejects_base_elements_differing_by_a_root():
         recognize(sub)
 
 
-def _l_and_v_bases(rs, gd, t):
-    """The bases of l and v that analyze types, as positive-root indices."""
-    kept = [x for x, v in enumerate(_pairing_values(rs, t)) if v % t.denom == 0]
-    return _closed_base(rs, kept), _closed_base(rs, [x for x in kept if not gd.in_m[x]])
-
-
-def _base_type_test_elements(rs):
-    """Every mod-2 candidate up to rank 8, every orbit representative
-    above, and seeded d = 3-6 elements in both bases."""
-    from itertools import product
-
-    if rs.rank <= 8:
-        reps = product((0, 1), repeat=rs.rank)
-    else:
-        reps = (rep for rep, _size, _circle_ok in _orbit_table(rs))
-    elements = [ToralElement(c, 2, "coweight") for c in reps]
-    rng = random.Random(f"base-type-{rs.type.label}")
-    for d in range(3, 7):
-        for basis in ("coroot", "coweight"):
-            coords = tuple(rng.randrange(d) for _ in range(rs.rank))
-            elements.append(ToralElement(coords, d, basis))
-    return elements
-
-
 @pytest.mark.parametrize("label", GRADED_LABELS)
 def test_base_type_matches_pairwise_oracle(label):
     """The edge-mask kernel types every l and v base as the walk over all
     base pairs does."""
     rs = build_root_system(parse_type(label))
     gd = quaternionic_decomposition(rs)
-    for t in _base_type_test_elements(rs):
-        for base in _l_and_v_bases(rs, gd, t):
+    for t in base_type_test_elements(rs):
+        for base in l_and_v_bases(rs, gd, t):
             assert _base_type(rs, base) == pairwise_base_type(rs, base), t.describe()
 
 
-@pytest.mark.parametrize("label", ["D6", "F4", "E8"])
-def test_base_type_walks_root_strings_only_along_edges(label, monkeypatch):
-    """Two string walks per edge of the base diagram, none for the other
-    pairs; edges are counted here by pairing_with_coroot over all pairs."""
-    import quatforms.subsys as subsys
-
-    walks = []
-
-    def counting(roots, a, b):
-        walks.append((a, b))
-        return _string_pairing(roots, a, b)
-
-    monkeypatch.setattr(subsys, "_string_pairing", counting)
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_edge_pairings_from_lengths_match_string_walks(label):
+    """Every l and v base diagram has an edge exactly where the pairing is
+    nonzero, and the entries across it are the root-string pairings."""
     rs = build_root_system(parse_type(label))
     gd = quaternionic_decomposition(rs)
     pos = rs.positive_roots
-    for t in _base_type_test_elements(rs):
-        for base in _l_and_v_bases(rs, gd, t):
-            walks.clear()
+    for t in base_type_test_elements(rs):
+        for base in l_and_v_bases(rs, gd, t):
+            nbrs = _base_diagram(rs, base)
+            found = {(x, y, p, q) for x in base for y, p, q in nbrs[x]}
+            walked = set()
+            for x in base:
+                for y in base:
+                    p = pairing_with_coroot(rs, pos[x], pos[y])
+                    if x != y and p:
+                        walked.add((x, y, p, pairing_with_coroot(rs, pos[y], pos[x])))
+            assert found == walked, t.describe()
+
+
+@pytest.mark.parametrize("label", ["D6", "F4", "E8"])
+def test_base_type_and_analyze_walk_no_root_strings(label, monkeypatch):
+    """_base_type and analyze read every Cartan entry off the length table:
+    a root-string walk anywhere in them fails the test."""
+    import quatforms.rootsys as rootsys
+
+    rs = build_root_system(parse_type(label))
+    gd = quaternionic_decomposition(rs)  # grading reads theta's pairings by walks
+
+    def refuse(roots, a, b):
+        raise AssertionError("a root string was walked")
+
+    monkeypatch.setattr(rootsys, "_string_pairing", refuse)
+    for t in base_type_test_elements(rs):
+        for base in l_and_v_bases(rs, gd, t):
             _base_type(rs, base)
-            edges = sum(
-                1
-                for i, x in enumerate(base)
-                for y in base[i + 1 :]
-                if pairing_with_coroot(rs, pos[x], pos[y])
-            )
-            assert len(walks) == 2 * edges, t.describe()
+        analyze(rs, gd, t)
 
 
 def _assert_recognize_matches_certificate(sub):
@@ -496,6 +486,30 @@ def test_diagram_table_holds_every_type_of_its_rank(rank):
     assert set(table) == set(by_key)
 
 
+@pytest.mark.parametrize("rank", range(1, CLASSICAL_RANK_CAP + 1))
+def test_diagram_key_ints_count_each_neighbour_class(rank):
+    """The 2-bit digits of a node's int in the key count its neighbours of
+    each class (a_ij, a_ji, degree of j), so no count spills into the next."""
+    from collections import Counter
+
+    classes = list(_EDGE_CLASSES)
+    for family in FAMILIES:
+        try:
+            nbrs = _cartan_neighbours(SimpleType(family, rank))
+        except InvalidTypeError:
+            continue
+        expected = sorted(
+            sorted(Counter((aij, aji, len(nbrs[j])) for j, aij, aji in row).items())
+            for row in nbrs
+        )
+        n, ints = _diagram_key(nbrs, range(rank))
+        decoded = sorted(
+            sorted((c, x >> 2 * k & 3) for k, c in enumerate(classes) if x >> 2 * k & 3)
+            for x in ints
+        )
+        assert (n, decoded) == (rank, expected), family
+
+
 _NOT_DYNKIN = {
     "3-cycle": (3, [(0, 1, -1, -1), (1, 2, -1, -1), (0, 2, -1, -1)]),
     "tree with arms 1, 3, 3": (
@@ -511,6 +525,13 @@ _NOT_DYNKIN = {
     ),
     "triple edge at rank 3": (3, [(0, 1, -1, -1), (1, 2, -1, -3)]),
     "edge with entries -1, -4": (2, [(0, 1, -1, -4)]),
+    "5-node star": (
+        5, [(0, 1, -1, -1), (0, 2, -1, -1), (0, 3, -1, -1), (0, 4, -1, -1)]
+    ),
+    "edge with entries -2, -2": (2, [(0, 1, -2, -2)]),
+    "branch node with a double edge": (
+        4, [(0, 1, -1, -1), (0, 2, -1, -1), (0, 3, -2, -1)]
+    ),
 }
 
 
