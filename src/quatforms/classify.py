@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable
 
-from .complexform import analyze
+from .complexform import _analysis, _verdict
 from .involution import ToralElement
 from .rootsys import (
     COWEIGHT,
@@ -386,8 +386,11 @@ def _merge_coincident(entries: list[GoldenEntry]) -> list[GoldenEntry]:
 
 
 @lru_cache(maxsize=None)
-def _generated_classical(t: SimpleType) -> tuple[GoldenEntry, ...]:
-    return tuple(generate_classical(t))
+def _bundled_for_type(t: SimpleType) -> tuple[GoldenEntry, ...]:
+    """The bundled registry's entries for one ambient type."""
+    if t.family in CLASSICAL_FAMILIES:
+        return tuple(generate_classical(t))
+    return tuple(e for e in _bundled_exceptional() if e.ambient == t)
 
 
 def golden_for_type(
@@ -397,15 +400,13 @@ def golden_for_type(
 
     An explicit path wins and is read on every call; otherwise the bundled
     registry is used (data file for exceptional types, generator for
-    classical families; each built once per process).  Every call returns
-    a fresh list of the (frozen) entries.
+    classical families), sliced per ambient type once per process.  Every
+    call returns a fresh list of the (frozen) entries.
     """
     if path is not None:
         entries = [e for e in load_golden(path) if e.ambient == t]
-        return entries, bool(entries)
-    if t.family in CLASSICAL_FAMILIES:
-        return list(_generated_classical(t)), True
-    entries = [e for e in _bundled_exceptional() if e.ambient == t]
+    else:
+        entries = list(_bundled_for_type(t))
     return entries, bool(entries)
 
 
@@ -461,15 +462,27 @@ def wk_orbits(
 
 
 @lru_cache(maxsize=None)
-def _orbit_table(rs: RootSystem) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
-    """(lex-smallest member, size, circle verdict) of each W_K-orbit, in
-    ``wk_orbits`` order.  The verdict, theta . c odd, holds for the whole
-    orbit, as W_K sends theta to +-theta.  Built once per root system; the
-    2^rank members are not kept.
+def _orbit_table(rs: RootSystem) -> tuple[tuple, ...]:
+    """(lex-smallest member, size, circle verdict, witness) of each W_K-orbit,
+    in ``wk_orbits`` order.  The verdict, theta . c odd, holds for the whole
+    orbit, as W_K sends theta to +-theta.  The witness is the member as a
+    coweight-basis element of denominator 2 when the orbit passes the
+    circle test, None otherwise.  Built once per root system; the 2^rank
+    members are not kept.
     """
     theta = rs.highest_root
-    orbits = wk_orbits(rs, quaternionic_decomposition(rs))
-    return tuple((o[0], len(o), sum(x * y for x, y in zip(o[0], theta)) % 2 == 1) for o in orbits)
+    rows = []
+    for orbit in wk_orbits(rs, quaternionic_decomposition(rs)):
+        rep = orbit[0]
+        circle_ok = sum(x * y for x, y in zip(rep, theta)) % 2 == 1
+        witness = ToralElement(rep, 2, COWEIGHT) if circle_ok else None
+        rows.append((rep, len(orbit), circle_ok, witness))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _name(ct: CartanType) -> str:  # every call finds the same forms: render each once
+    return ct.render()
 
 
 @dataclass(frozen=True)
@@ -539,38 +552,31 @@ def classify_equal_rank(
     with theta - beta, also a grade-1 positive root, and c(beta) + c(theta -
     beta) = c(theta) = 1 mod 2, so exactly one root of each pair lies in
     the centralizer and dim_C S = dim_H M.  A representative whose analysis
-    says otherwise raises RuntimeError.  The orbit table, with the circle
-    verdicts, the grading and the bundled registry are built once per
-    process, so a repeated call pays only for the passing representatives.
+    says otherwise, or a nonzero step6 count, raises RuntimeError.  The
+    analysis is ``analyze``'s kernel, without the report.  The orbit table,
+    with circle verdicts and witnesses, the grading and each type's bundled
+    registry slice are built once per process, so a repeated call pays only
+    for analyzing the passing representatives, and builds no toral element.
     """
     gd = quaternionic_decomposition(rs)
+    dim_h = gd.quaternionic_dim
 
-    found_order: list[tuple[CartanType, CartanType]] = []
-    witnesses: dict[tuple[CartanType, CartanType], ToralElement] = {}
-    counts: dict[tuple[CartanType, CartanType], int] = {}
+    forms: dict[tuple[CartanType, CartanType], list] = {}  # key -> [witness, count]
     n_candidates = 0
-    for rep, size, circle_ok in _orbit_table(rs):
+    for _rep, size, passes, t in _orbit_table(rs):
         n_candidates += size
-        if not circle_ok:
+        if not passes:
             continue
-        t = ToralElement(rep, 2, COWEIGHT)
-        a = analyze(rs, gd, t)
-        if not a.is_complex_form or a.step6_count != 0:
+        l_type, v_type, circle_ok, s, step6 = _analysis(rs, gd, t)
+        if not (circle_ok and len(s) == dim_h and step6 == 0):
             raise RuntimeError(
                 f"fast screen disagrees with full analysis at {t.describe()}: "
-                f"verdict {a.verdict}, step6 count {a.step6_count}"
+                f"verdict {_verdict(circle_ok, len(s), dim_h)}, step6 count {step6}"
             )
-        key = (a.l_type, a.v_type)
-        if key not in witnesses:
-            witnesses[key] = t
-            counts[key] = 0
-            found_order.append(key)
-        counts[key] += size
+        forms.setdefault((l_type, v_type), [t, 0])[1] += size
 
-    found = [
-        FoundForm(k[0], k[1], witnesses[k], counts[k])
-        for k in sorted(found_order, key=lambda k: (k[0].render(), k[1].render()))
-    ]
+    order = sorted(forms, key=lambda k: (_name(k[0]), _name(k[1])))
+    found = [FoundForm(*k, *forms[k]) for k in order]
 
     try:
         golden, have_baseline = golden_for_type(rs.type, golden_path)

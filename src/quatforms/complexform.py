@@ -59,33 +59,36 @@ def step6_count(rs: RootSystem, gd: GradedDecomposition, s_pos: tuple[Root, ...]
     The rows are the positive roots of s, the highest root minus each of
     them (kept even when the difference is not a root), and the positive
     roots of m; the count is the number of distinct rows beyond |m|.  A
-    nonzero value flags s as failing to be maximal totally complex.
+    nonzero value flags s as failing to be maximal totally complex.  As s
+    lies in m, those rows are theta - beta for beta in s ^ ``gd._mirror``.
     """
-    s = [rs._position.get(rs._codes.get(beta)) for beta in s_pos]
-    if not all(x is not None and gd.in_m[x] for x in s):
+    m, codes = gd._m_codes, rs._codes
+    s = [rs._position[codes[beta]] for beta in s_pos if codes.get(beta) in m]
+    if len(s) != len(s_pos):
         raise ValueError("s_pos must consist of grade-1 positive roots")
     return _step6_count(rs, gd, s)
 
 
 def _step6_count(rs: RootSystem, gd: GradedDecomposition, s: list[int]) -> int:
-    """``step6_count`` of the grade-1 positive roots at indices s: rows outside m."""
-    codes = rs._pos_codes
-    theta = codes[-1]  # build_root_system puts the highest root last
-    rows = {codes[x] for x in s} | {theta - codes[x] for x in s}
-    return len(rows - gd._m_codes)
+    """``step6_count`` of the grade-1 positive roots at indices s: how many lie
+    in ``gd._mirror``; O(1) on a real grading, whose mirror set is empty."""
+    mirror = gd._mirror
+    return len(mirror.intersection([rs._pos_codes[x] for x in s])) if mirror else 0
 
 
-def analyze(
-    rs: RootSystem, gd: GradedDecomposition, t: ToralElement
-) -> ComplexFormAnalysis:
-    """Run the full pipeline: centralizer, grade slices, criteria, verdict.
+def _verdict(circle_ok: bool, dim_s: int, dim_h: int) -> str:
+    return COMPLEX_FORM if circle_ok and dim_s == dim_h else NOT_COMPLEX_FORM
 
-    Every step runs on indices into ``rs.positive_roots``: l keeps those
-    whose pairing with t is 0 mod denom, the circle test reads the highest
-    root's pairing (the last), and ``gd.in_m`` splits l into s (grade 1)
-    and v.  l and v go through the closure check and base of ``Subsystem``;
-    l's base diagram, read once by the kernels behind ``recognize``, types
-    both.  Root tuples appear only in s_pos.
+
+def _analysis(rs: RootSystem, gd: GradedDecomposition, t: ToralElement) -> tuple:
+    """(l_type, v_type, circle_ok, s, step6) of t: the kernel of ``analyze``.
+
+    Every step runs on indices into ``rs.positive_roots``, and s lists the
+    indices of s.  l keeps those whose pairing with t is 0 mod denom, the
+    circle test reads the highest root's pairing (the last), and
+    ``gd.in_m`` splits l into s (grade 1) and v.  l and v go through the
+    closure check and base of ``Subsystem``; l's base diagram, read once by
+    the kernels behind ``recognize``, types both.
 
     Lemma: the grading g is additive and >= 0 on positive roots, theta
     alone has g = 2, and g = 0 roots are orthogonal to theta.  So v = (l ^
@@ -110,21 +113,30 @@ def analyze(
     nbrs = _base_diagram(rs, l_base)  # theta + x is no root, so theta meets no edge
     v_parts = _components({x: [e for e in nbrs[x] if not in_m[e[0]]] for x in v0})
     v_parts += [_A1] * (not circle_ok)
-    dim_s = len(s)
-    dim_h = gd.quaternionic_dim
-    verdict = COMPLEX_FORM if circle_ok and dim_s == dim_h else NOT_COMPLEX_FORM
+    l_type = CartanType._of_table_parts(_components(nbrs), rs.rank - len(l_base))
+    v_type = CartanType._of_table_parts(v_parts, rs.rank - len(v_base))
+    return l_type, v_type, circle_ok, s, _step6_count(rs, gd, s)
+
+
+def analyze(
+    rs: RootSystem, gd: GradedDecomposition, t: ToralElement
+) -> ComplexFormAnalysis:
+    """Run the full pipeline: centralizer, grade slices, criteria, verdict.
+    ``_analysis`` runs it on positive-root indices; this builds the report."""
+    l_type, v_type, circle_ok, s, step6 = _analysis(rs, gd, t)
+    dim_s, dim_h = len(s), gd.quaternionic_dim
     return ComplexFormAnalysis(
         ambient=rs.type.label,
         sym=t,
-        l_type=CartanType(tuple(_components(nbrs)), rs.rank - len(l_base)),
-        v_type=CartanType(tuple(v_parts), rs.rank - len(v_base)),
+        l_type=l_type,
+        v_type=v_type,
         s_pos=tuple(rs.positive_roots[x] for x in s),
         circle_ok=circle_ok,
         dim_s=dim_s,
         dim_h=dim_h,
         m_count=len(gd.m_pos),
-        step6_count=_step6_count(rs, gd, s),
-        verdict=verdict,
+        step6_count=step6,
+        verdict=_verdict(circle_ok, dim_s, dim_h),
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import mul
 
 from .rootsys import COROOT, COWEIGHT, Root, RootSystem
 from .subsys import Subsystem
@@ -63,11 +64,8 @@ def _coweight_coords(rs: RootSystem, t: ToralElement) -> tuple[int, ...]:
         )
     if t.basis == COWEIGHT:
         return t.coords
-    n = rs.rank
-    return tuple(
-        sum(rs.cartan[j][i] * t.coords[i] for i in range(n)) % t.denom
-        for j in range(n)
-    )
+    coords, d = t.coords, t.denom
+    return tuple(sum(map(mul, row, coords)) % d for row in rs.cartan)
 
 
 def pairing(rs: RootSystem, t: ToralElement, alpha: Root) -> int:

@@ -78,8 +78,11 @@ class SimpleType:
 
     family: str
     rank: int
+    # (-rank, family): the order of components in a CartanType
+    _order: tuple[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_order", (-self.rank, self.family))
         if self.family not in FAMILIES:
             raise InvalidTypeError(
                 f"unknown family {self.family!r}; valid families are A-G"
@@ -489,6 +492,13 @@ class GradedDecomposition:
     def _m_codes(self) -> frozenset[int]:
         """Packed codes of the grade-1 positive roots."""
         return frozenset(map(_encode, self.m_pos))
+
+    @cached_property
+    def _mirror(self) -> frozenset[int]:
+        """Codes of the grade-1 roots beta with theta - beta no grade-1 root: none
+        if built by ``quaternionic_decomposition``, as <beta, theta-check> = 1."""
+        theta, m = _encode(self.k_pos[-1]), self._m_codes  # k_pos ends with theta
+        return frozenset(c for c in m if theta - c not in m)
 
 
 @lru_cache(maxsize=None)

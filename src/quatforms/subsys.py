@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .rootsys import (
@@ -148,6 +149,7 @@ _LOW_RANK_ALIASES = {
     ("D", 2): (("A", 1), ("A", 1)),
     ("D", 3): (("A", 3),),
 }
+_ORDER = attrgetter("_order")  # components by -rank, then family
 
 
 def normalize_components(parts: Iterable[SimpleType | tuple[str, int]]) -> tuple[SimpleType, ...]:
@@ -157,7 +159,7 @@ def normalize_components(parts: Iterable[SimpleType | tuple[str, int]]) -> tuple
         pair = (part.family, part.rank) if isinstance(part, SimpleType) else part
         for t in _LOW_RANK_ALIASES.get(pair, (part,)):
             out.append(t if isinstance(t, SimpleType) else SimpleType(*t))
-    out.sort(key=lambda t: (-t.rank, t.family))
+    out.sort(key=_ORDER)
     return tuple(out)
 
 
@@ -178,6 +180,14 @@ class CartanType:
         normalized = normalize_components(self.components)
         object.__setattr__(self, "components", normalized)
         object.__setattr__(self, "_hash", hash((normalized, self.torus_rank)))
+
+    @classmethod
+    def _of_table_parts(cls, parts: list[SimpleType], torus_rank: int) -> "CartanType":
+        """The type of components from ``_diagram_types``, which holds no
+        low-rank alias: sorted, with no alias lookup."""
+        self, comps = object.__new__(cls), tuple(sorted(parts, key=_ORDER))
+        vars(self).update(components=comps, torus_rank=torus_rank, _hash=hash((comps, torus_rank)))
+        return self
 
     def __hash__(self) -> int:  # cached: classify keys dicts by (L, V) pairs
         return self._hash
@@ -316,7 +326,8 @@ def recognize(sub: Subsystem) -> CartanType:
 
 def _base_type(ambient: RootSystem, base: list[int]) -> CartanType:
     """Cartan type of the subsystem whose base is at these positive-root indices."""
-    return CartanType(tuple(_components(_base_diagram(ambient, base))), ambient.rank - len(base))
+    parts = _components(_base_diagram(ambient, base))
+    return CartanType._of_table_parts(parts, ambient.rank - len(base))
 
 
 def _base_diagram(ambient: RootSystem, base: list[int]) -> _Neighbours:

@@ -55,7 +55,7 @@ def base_type_test_elements(rs):
     if rs.rank <= 8:
         reps = product((0, 1), repeat=rs.rank)
     else:
-        reps = (rep for rep, _size, _circle_ok in _orbit_table(rs))
+        reps = (rep for rep, _size, _circle_ok, _witness in _orbit_table(rs))
     elements = [ToralElement(c, 2, "coweight") for c in reps]
     rng = random.Random(f"base-type-{rs.type.label}")
     for d in range(3, 7):

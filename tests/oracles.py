@@ -17,7 +17,8 @@ elements.  The analysis oracle
 is complexform.analyze as it ran on sets of root tuples, through
 Subsystem and recognize, before it moved to positive-root indices; the
 classification oracle analyzes every candidate with it instead of one
-per W_K-orbit.
+per W_K-orbit.  The step6 oracle is the set formula complexform ran on
+every call before it read the grading's mirror set.
 coroot_pairing and enumerate_involutions are small helpers the package
 itself has no use for.
 """
@@ -220,6 +221,19 @@ def disjoint_cover_ok(rs, gd, s_pos) -> bool:
     s_set = set(s_pos)
     mirror = {tuple(t - b for t, b in zip(theta, beta)) for beta in s_pos}
     return not (s_set & mirror) and (s_set | mirror) == set(gd.m_pos)
+
+
+def step6_rows(rs, gd, s) -> int:
+    """step6 count of the positive roots at the indices s, by the set formula.
+
+    The rows are the packed codes of those roots and of theta minus each,
+    deduplicated; the count is how many rows lie outside the codes of
+    gd.m_pos.
+    """
+    codes = rs._pos_codes
+    theta = codes[-1]  # the highest root is the last positive root
+    rows = {codes[x] for x in s} | {theta - codes[x] for x in s}
+    return len(rows - {rs._codes[r] for r in gd.m_pos})
 
 
 def squared_lengths(cartan) -> tuple[Fraction, ...]:

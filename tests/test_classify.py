@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -31,7 +30,7 @@ from quatforms.classify import (
 )
 from quatforms.involution import centralizer_roots, pairing
 
-from conftest import CLASSIFY_LABELS, GRADED_LABELS
+from conftest import CLASSIFY_LABELS, EXCEPTIONAL_LABELS, GRADED_LABELS
 from oracles import brute_force_classify, enumerate_involutions
 
 
@@ -192,9 +191,12 @@ def test_wk_orbits_partition_the_candidates(label):
     reps = [orbit[0] for orbit in orbits]
     assert reps == sorted(reps)
     theta = rs.highest_root
-    assert list(_orbit_table(rs)) == [
-        (o[0], len(o), pairing(rs, ToralElement(o[0], 2, "coweight"), theta) != 0) for o in orbits
-    ]
+    rows = []
+    for o in orbits:
+        t = ToralElement(o[0], 2, "coweight")
+        passes = pairing(rs, t, theta) != 0
+        rows.append((o[0], len(o), passes, t if passes else None))
+    assert list(_orbit_table(rs)) == rows
     if label in _ORBIT_COUNTS:
         assert len(orbits) == _ORBIT_COUNTS[label]
 
@@ -204,11 +206,13 @@ def test_wk_orbits_partition_the_candidates(label):
 )
 def test_orbit_table_circle_verdict_holds_for_every_member(label):
     """Each row's stored circle verdict is the pairing of the highest root
-    with every member of its orbit, not only with the representative."""
+    with every member of its orbit, not only with the representative, and
+    a passing row's witness is the representative."""
     rs = _rs(label)
     orbits = wk_orbits(rs, quaternionic_decomposition(rs))
-    for (rep, size, circle_ok), orbit in zip(_orbit_table(rs), orbits, strict=True):
+    for (rep, size, circle_ok, witness), orbit in zip(_orbit_table(rs), orbits, strict=True):
         assert (rep, size) == (orbit[0], len(orbit))
+        assert witness == (ToralElement(rep, 2, "coweight") if circle_ok else None)
         for c in orbit:
             t = ToralElement(c, 2, "coweight")
             assert circle_ok == (pairing(rs, t, rs.highest_root) != 0), c
@@ -216,7 +220,7 @@ def test_orbit_table_circle_verdict_holds_for_every_member(label):
 
 def test_warm_classify_screens_without_pairing(monkeypatch):
     """Once the orbit table is built, classify makes no pairing call and
-    builds a toral element only for the orbits passing the circle test."""
+    builds no toral element: the witnesses are the table's."""
     import quatforms.classify as classify
     import quatforms.involution as involution
 
@@ -236,10 +240,12 @@ def test_warm_classify_screens_without_pairing(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(ToralElement, "__post_init__", count)
-    classify_equal_rank(rs)
-    passing = [rep for rep, _size, circle_ok in _orbit_table(rs) if circle_ok]
-    assert built == passing
-    assert 0 < len(passing) < len(_orbit_table(rs))
+    report = classify_equal_rank(rs)
+    assert built == []
+    table = _orbit_table(rs)
+    witnesses = [w for _rep, _size, circle_ok, w in table if circle_ok]
+    assert 0 < len(witnesses) < len(table)
+    assert report.found and all(any(f.witness is w for w in witnesses) for f in report.found)
 
 
 @pytest.mark.parametrize("label", ["A10", "B10", "C10", "D10"])
@@ -270,12 +276,22 @@ def test_bundled_exceptional_registry():
 
 
 def test_registry_lists_are_fresh_per_call():
-    """The bundled registry is parsed once, but callers get their own lists."""
+    """The bundled registry is parsed and sliced per type once, but callers
+    get their own lists."""
     assert _bundled_exceptional() is _bundled_exceptional()
     e8 = parse_type("E8")
     entries, found = golden_for_type(e8)
+    assert found and all(a is b for a, b in zip(entries, golden_for_type(e8)[0]))
     entries.pop()
-    assert found and len(golden_for_type(e8)[0]) == 2
+    assert len(golden_for_type(e8)[0]) == 2
+
+
+@pytest.mark.parametrize("label", EXCEPTIONAL_LABELS)
+def test_exceptional_registry_slice_matches_a_filter(label):
+    """Each type's slice holds the bundled entries of that type, in file order."""
+    t = parse_type(label)
+    entries, found = golden_for_type(t)
+    assert found and entries == [e for e in _bundled_exceptional() if e.ambient.label == label]
 
 
 @pytest.mark.parametrize(
@@ -495,17 +511,23 @@ def test_classify_untested_classical_rank_degrades_to_no_baseline():
 
 
 @pytest.mark.parametrize(
-    "change", [{"verdict": "not-complex-form"}, {"step6_count": 1}]
+    "change",
+    [
+        (lambda l, v, c, s, k: (l, v, c, s[1:], k), "verdict not-complex-form, step6 count 0"),
+        (lambda l, v, c, s, k: (l, v, c, s, 1), "verdict complex-form, step6 count 1"),
+    ],
 )
 def test_screen_disagreement_raises(monkeypatch, change):
-    """The screen/analysis cross-check is a raise, so it survives python -O."""
+    """The screen/analysis cross-check on classify's kernel call is a raise,
+    so it survives python -O; a short s breaks the verdict."""
     import quatforms.classify
+    from quatforms.complexform import _analysis
 
-    def broken(rs, gd, t):
-        return dataclasses.replace(analyze(rs, gd, t), **change)
-
-    monkeypatch.setattr(quatforms.classify, "analyze", broken)
-    with pytest.raises(RuntimeError, match="fast screen disagrees with full analysis"):
+    edit, message = change
+    monkeypatch.setattr(quatforms.classify, "_analysis", lambda *args: edit(*_analysis(*args)))
+    with pytest.raises(
+        RuntimeError, match=f"^fast screen disagrees with full analysis at .*: {message}$"
+    ):
         classify_equal_rank(_rs("G2"))
 
 

@@ -34,6 +34,7 @@ from oracles import (
     centralizer_roots_by_dot,
     disjoint_cover_ok,
     grade_slices,
+    step6_rows,
 )
 
 
@@ -84,6 +85,47 @@ def test_step6_count_counts_mirror_rows_outside_m():
     a = analyze(rs, gd, ToralElement((0,) * 7 + (1,), 2, "coroot"))
     only_s = dataclasses.replace(gd, m_pos=a.s_pos)
     assert step6_count(rs, only_s, a.s_pos) == len(a.s_pos) == 28
+    s = [rs.positive_roots.index(beta) for beta in a.s_pos]
+    assert complexform._step6_count(rs, only_s, s) == step6_rows(rs, only_s, s) == 28
+
+
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_step6_count_matches_set_formula_on_real_gradings(label):
+    """A real grading's mirror set is empty, so the count is 0, as the set
+    formula gives, for analyze's s and for seeded subsets of m."""
+    rs, gd = _setup(label)
+    assert gd._mirror == frozenset()
+    pos = rs.positive_roots
+    m = [x for x, flag in enumerate(gd.in_m) if flag]
+    rng = random.Random(f"step6-{label}")
+    sets = [complexform._analysis(rs, gd, t)[3] for t in _kernel_elements(rs)]
+    sets += [rng.sample(m, k) for k in (0, 1, len(m) // 2, len(m))]
+    for s in sets:
+        assert complexform._step6_count(rs, gd, s) == step6_rows(rs, gd, s) == 0
+        assert step6_count(rs, gd, tuple(pos[x] for x in s)) == 0
+
+
+@pytest.mark.parametrize("label", ["G2", "F4", "B5", "D6", "E7"])
+def test_step6_count_matches_set_formula_with_a_mirror_set(label):
+    """With a seeded quarter of the grade-1 roots dropped from m, the mirror
+    set is not empty, and the count equals the set formula on seeded
+    subsets of that m, a repeated root included."""
+    rs, gd = _setup(label)
+    rng = random.Random(f"step6-mirrors-{label}")
+    dropped = set(rng.sample(gd.m_pos, max(1, len(gd.m_pos) // 4)))
+    fake = dataclasses.replace(gd, m_pos=tuple(r for r in gd.m_pos if r not in dropped))
+    assert fake._mirror
+    pos = rs.positive_roots
+    m = [pos.index(r) for r in fake.m_pos]
+    counts = set()
+    for k in range(len(m) + 1):
+        s = rng.sample(m, k)
+        s += s[:1]
+        expected = step6_rows(rs, fake, s)
+        assert complexform._step6_count(rs, fake, s) == expected
+        assert step6_count(rs, fake, tuple(pos[x] for x in s)) == expected
+        counts.add(expected)
+    assert len(counts) > 1
 
 
 def test_step6_count_rejects_non_m_rows():
@@ -227,6 +269,26 @@ def test_analyze_slices_match_grade_oracle_on_higher_order_elements(label, monke
         _assert_slices_match_grade_oracle(monkeypatch, rs, gd, t)
 
 
+def _kernel_elements(rs):
+    """Every orbit representative, and the d = 1 and seeded d = 3-7 elements
+    of ``base_type_test_elements``."""
+    reps = [ToralElement(rep, 2, "coweight") for rep, *_ in _orbit_table(rs)]
+    return reps + [t for t in base_type_test_elements(rs) if t.denom != 2]
+
+
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_kernel_matches_analyze_and_subsystem_oracle(label):
+    """analyze's kernel gives the L, V, circle verdict, s and step6 count of
+    analyze and of the root-set oracle."""
+    rs, gd = _setup(label)
+    pos = rs.positive_roots
+    for t in _kernel_elements(rs):
+        l_type, v_type, circle_ok, s, step6 = complexform._analysis(rs, gd, t)
+        got = (l_type, v_type, circle_ok, tuple(pos[x] for x in s), step6)
+        for a in (analyze(rs, gd, t), analyze_via_subsystems(rs, gd, t)):
+            assert got == (a.l_type, a.v_type, a.circle_ok, a.s_pos, a.step6_count), t.describe()
+
+
 def _assert_matches_subsystem_oracle(rs, gd, t):
     a = analyze(rs, gd, t)
     b = analyze_via_subsystems(rs, gd, t)
@@ -248,7 +310,7 @@ def test_analyze_matches_subsystem_oracle_on_involutions(label):
 )
 def test_analyze_matches_subsystem_oracle_on_orbit_representatives(label):
     rs, gd = _setup(label)
-    for rep, _size, _circle_ok in _orbit_table(rs):
+    for rep, _size, _circle_ok, _witness in _orbit_table(rs):
         _assert_matches_subsystem_oracle(rs, gd, ToralElement(rep, 2, "coweight"))
 
 

@@ -14,9 +14,9 @@ from quatforms import (
     parse_type,
     recognize,
 )
-from quatforms.involution import centralizer_roots
+from quatforms.involution import _coweight_coords, centralizer_roots
 
-from conftest import SUPPORTED_LABELS
+from conftest import GRADED_LABELS, SUPPORTED_LABELS
 from oracles import centralizer_roots_by_dot, coroot_pairing
 
 
@@ -61,6 +61,22 @@ def test_convert_to_coweight_examples():
     a2 = build_root_system(parse_type("A2"))
     assert convert_to_coweight(a2, ToralElement((1, 0), 2, "coroot")).coords == (0, 1)
     assert convert_to_coweight(a2, ToralElement((0, 0), 2, "coroot")).coords == (0, 0)
+
+
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_coweight_coords_match_the_nested_sum(label):
+    """The row-by-row conversion equals c'_j = sum_i A[j][i] c_i mod d,
+    the nested sum it replaced, for d = 1-8 and seeded coroot coordinates."""
+    rs = build_root_system(parse_type(label))
+    n = rs.rank
+    rng = random.Random(f"coweight-coords-{label}")
+    for d in range(1, 9):
+        for _ in range(3):
+            t = ToralElement(tuple(rng.randrange(d) for _ in range(n)), d, "coroot")
+            nested = tuple(
+                sum(rs.cartan[j][i] * t.coords[i] for i in range(n)) % t.denom for j in range(n)
+            )
+            assert _coweight_coords(rs, t) == nested, t.describe()
 
 
 def test_convert_rejects_coweight_input():

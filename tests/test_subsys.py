@@ -35,6 +35,7 @@ from quatforms.subsys import (
     _base_diagram,
     _base_type,
     _component_type,
+    _components,
     _diagram_key,
     _diagram_types,
     normalize_components,
@@ -371,6 +372,23 @@ def test_base_type_matches_pairwise_oracle(label):
     for t in base_type_test_elements(rs):
         for base in l_and_v_bases(rs, gd, t):
             assert _base_type(rs, base) == pairwise_base_type(rs, base), t.describe()
+
+
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_table_parts_type_matches_the_normalizing_constructor(label):
+    """The diagram table's components build, without alias lookups, the
+    type the public constructor builds from them: same components in the
+    same order, same hash and name."""
+    rs = build_root_system(parse_type(label))
+    gd = quaternionic_decomposition(rs)
+    for t in base_type_test_elements(rs):
+        for base in l_and_v_bases(rs, gd, t):
+            parts = _components(_base_diagram(rs, base))
+            torus = rs.rank - len(base)
+            expected = CartanType(tuple(parts), torus)
+            got = CartanType._of_table_parts(parts, torus)
+            assert got == expected and got.components == expected.components, t.describe()
+            assert (hash(got), str(got)) == (hash(expected), expected.render())
 
 
 @pytest.mark.parametrize("label", GRADED_LABELS)
