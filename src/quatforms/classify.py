@@ -28,19 +28,16 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Iterable
 
 from .complexform import _analysis, _verdict
 from .involution import ToralElement
 from .rootsys import (
     COWEIGHT,
-    GradedDecomposition,
     InvalidTypeError,
     RootSystem,
     SimpleType,
     _bundled_text,
-    pairing_with_coroot,
     parse_type,
     quaternionic_decomposition,
 )
@@ -415,36 +412,44 @@ def golden_for_type(
 # ---------------------------------------------------------------------------
 
 
-def wk_orbits(
-    rs: RootSystem, gd: GradedDecomposition
-) -> list[tuple[tuple[int, ...], ...]]:
-    """W_K-orbits on the mod-2 coweight candidates, each sorted in lex order.
+@lru_cache(maxsize=None)
+def _orbit_table(rs: RootSystem) -> tuple[tuple, ...]:
+    """(lex-smallest member, size, circle verdict, witness) of each W_K-orbit
+    on the mod-2 coweight candidates, in the lex order of the representatives.
 
-    The orbits come in the lex order of their smallest members and together
-    hold all 2^rank candidates once.  A reflection s_beta moves the
-    coweight coordinates c to c - (c . beta) (<alpha_j, beta-check>)_j, so
-    mod 2 it adds that column exactly when c . beta is odd.  The generators
-    are s_i for the simple roots off the node set (column A[j][i]) and
-    s_theta for the highest root.
+    Candidates are walked as ints, coordinate 0 the most significant bit,
+    so int order is lex order and the first unseen int opens the next
+    orbit.  A reflection s_beta moves the coweight coordinates c to
+    c - (c . beta) (<alpha_j, beta-check>)_j, so mod 2 it adds that column
+    exactly when c . beta is odd.  The generators are s_i for the simple
+    roots off the node set (column i of the Cartan matrix) and s_theta for
+    the highest root.  Lemma: s_theta's column mod 2 is the node-set
+    indicator.  theta is long and, at rank >= 2, no simple root, so
+    <alpha_j, theta-check> is 0 or +-1 and is nonzero exactly when
+    <theta, alpha_j-check> is (Humphreys, 9.4); theta is dominant, so that
+    is when j is in the node set.
+
+    The verdict, theta . c odd, holds for the whole orbit, as W_K sends
+    theta to +-theta.  The witness is the representative as a
+    coweight-basis element of denominator 2 when the orbit passes the
+    circle test, None otherwise.  Built once per root system; only the
+    representatives become tuples.
     """
     n = rs.rank
-    theta = rs.highest_root
+    nodes = quaternionic_decomposition(rs).node_set
 
     def mask(bits) -> int:
-        # Coordinate 0 is the most significant bit, so integer order is lex order.
         return sum(1 << (n - 1 - j) for j, b in enumerate(bits) if b % 2)
 
     gens = [
-        (1 << (n - 1 - i), mask(rs.cartan[j][i] for j in range(n)))
+        (1 << (n - 1 - i), mask(row[i] for row in rs.cartan))
         for i in range(n)
-        if i + 1 not in gd.node_set
+        if i + 1 not in nodes
     ]
-    gens.append(
-        (mask(theta), mask(pairing_with_coroot(rs, a, theta) for a in rs.simple_roots))
-    )
-    vectors = list(product((0, 1), repeat=n))  # vectors[x] has the bits of x
+    theta = mask(rs.highest_root)
+    gens.append((theta, mask(j + 1 in nodes for j in range(n))))
     seen = bytearray(1 << n)
-    orbits = []
+    rows = []
     for start in range(1 << n):
         if seen[start]:
             continue
@@ -457,26 +462,10 @@ def wk_orbits(
                     if not seen[y]:
                         seen[y] = 1
                         members.append(y)
-        orbits.append(tuple(vectors[x] for x in sorted(members)))
-    return orbits
-
-
-@lru_cache(maxsize=None)
-def _orbit_table(rs: RootSystem) -> tuple[tuple, ...]:
-    """(lex-smallest member, size, circle verdict, witness) of each W_K-orbit,
-    in ``wk_orbits`` order.  The verdict, theta . c odd, holds for the whole
-    orbit, as W_K sends theta to +-theta.  The witness is the member as a
-    coweight-basis element of denominator 2 when the orbit passes the
-    circle test, None otherwise.  Built once per root system; the 2^rank
-    members are not kept.
-    """
-    theta = rs.highest_root
-    rows = []
-    for orbit in wk_orbits(rs, quaternionic_decomposition(rs)):
-        rep = orbit[0]
-        circle_ok = sum(x * y for x, y in zip(rep, theta)) % 2 == 1
+        rep = tuple(start >> (n - 1 - j) & 1 for j in range(n))
+        circle_ok = (start & theta).bit_count() % 2 == 1
         witness = ToralElement(rep, 2, COWEIGHT) if circle_ok else None
-        rows.append((rep, len(orbit), circle_ok, witness))
+        rows.append((rep, len(members), circle_ok, witness))
     return tuple(rows)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .rootsys import (
@@ -36,6 +37,10 @@ from .rootsys import (
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+# One --sym coordinate once stripped, as int() strips it: ASCII digits only,
+# where int() alone also takes any Unicode digit and underscores.
+_SYM_FIELD = re.compile(r"[+-]?[0-9]+")
 
 # What a verb's runner returns: the JSON document, the text lines and the
 # exit code.
@@ -84,10 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_sym(text: str, rank: int) -> tuple[int, ...]:
-    try:
-        coords = tuple(int(x) for x in text.split(","))
-    except ValueError:
+    fields = text.split(",")
+    if not all(_SYM_FIELD.fullmatch(x.strip()) for x in fields):
         raise InvalidTypeError(f"cannot parse --sym {text!r}: expected integers")
+    try:
+        coords = tuple(map(int, fields))
+    except ValueError:  # past the interpreter's limit on digits in an int string
+        raise InvalidTypeError("cannot parse --sym: a coordinate has too many digits")
     if len(coords) != rank:
         raise InvalidTypeError(
             f"--sym has {len(coords)} coordinates, expected {rank}"

@@ -2,13 +2,14 @@
 
 A root is an integer coefficient vector over the simple roots.  Simple roots
 are numbered 1..rank following Bourbaki (plates I-IX); all public indices in
-this package are 1-based Bourbaki indices.  Cartan pairings of two roots
-are read off root strings inside the root set, so all arithmetic stays on
-integer coefficient vectors.
+this package are 1-based Bourbaki indices.  Cartan pairings come from the
+Cartan matrix, linear in the first root (<a, alpha_i-check> is a's
+coefficients against column i), and across two roots from their integer
+squared lengths, so all arithmetic stays on integer coefficient vectors.
 
-Roots are tuples at every API; inside the hot loops (root generation, root
-strings, subsystem closure, step6 rows) each root is packed into one int,
-the balanced base-32 code sum(c_j * 32**j).  The code is linear, so sums
+Roots are tuples at every API; inside the hot loops (root generation,
+subsystem closure, step6 rows) each root is packed into one int, the
+balanced base-32 code sum(c_j * 32**j).  The code is linear, so sums
 and differences of roots become int additions, and it is injective on
 vectors with |c_j| <= 15.  Every root coefficient is checked to satisfy
 |c| <= 7 (E8's highest root has 6), so every sum or difference of two
@@ -302,10 +303,6 @@ class RootSystem:
         return codes
 
     @cached_property
-    def _code_set(self) -> frozenset[int]:
-        return frozenset(self._codes.values())
-
-    @cached_property
     def _position(self) -> dict[int, int]:
         """Index in ``positive_roots`` of each positive root's code."""
         return {c: k for k, c in enumerate(self._pos_codes)}
@@ -406,54 +403,20 @@ def build_root_system(t: SimpleType) -> RootSystem:
         positive_roots=tuple(pos),
         highest_root=highest,
     )
-    top = rs._codes[highest]
-    if any(top + _CODE_BASE**i in rs._code_set for i in range(rs.rank)):
+    # theta + alpha_i has positive coefficients, so it is a root only if positive.
+    top = _encode(highest)
+    if any(top + _CODE_BASE**i in rs._position for i in range(rs.rank)):
         raise RuntimeError(f"highest root of {t.label} plus a simple root is a root")
     return rs
-
-
-def pairing_with_coroot(rs: RootSystem, a: Root, b: Root) -> int:
-    """Integer Cartan pairing <a, b-check> of two roots.
-
-    For b != +-a the b-string through a runs unbroken from a - p*b to
-    a + q*b, and <a, b-check> = p - q (Humphreys, Introduction to Lie
-    Algebras and Representation Theory, 9.4).  Both walks run on packed
-    root codes.
-    """
-    codes = rs._codes
-    ca, cb = codes.get(a), codes.get(b)
-    for r, c in ((a, ca), (b, cb)):
-        if c is None:
-            raise ValueError(f"{r} is not a root of {rs.type.label}")
-    return _string_pairing(rs._code_set, ca, cb)
-
-
-def _string_pairing(roots: frozenset[int], ca: int, cb: int) -> int:
-    """<a, b-check> from the packed codes of two roots and the code set."""
-    if ca == cb:
-        return 2
-    if ca == -cb:
-        return -2
-    p = 0
-    v = ca - cb
-    while v in roots:
-        p += 1
-        v -= cb
-    q = 0
-    v = ca + cb
-    while v in roots:
-        q += 1
-        v += cb
-    return p - q
 
 
 def node_set(rs: RootSystem) -> frozenset[int]:
     """Simple roots attached to the negative of the highest root (1-based).
 
-    This is the set of i with <highest, alpha_i-check> > 0.  It is a
-    singleton except for diagrams of A shape (family A at rank >= 2, and
-    D3 which is A3 renumbered), where both chain ends appear and grades
-    add over the pair.
+    This is the set of i with <highest, alpha_i-check> > 0, the pairing
+    read off column i of the Cartan matrix.  It is a singleton except for
+    diagrams of A shape (family A at rank >= 2, and D3 which is A3
+    renumbered), where both chain ends appear and grades add over the pair.
     """
     if rs.rank < 2:
         raise GradingError(
@@ -462,8 +425,8 @@ def node_set(rs: RootSystem) -> frozenset[int]:
     theta = rs.highest_root
     return frozenset(
         i + 1
-        for i, alpha_i in enumerate(rs.simple_roots)
-        if pairing_with_coroot(rs, theta, alpha_i) > 0
+        for i in range(rs.rank)
+        if sum(c * row[i] for c, row in zip(theta, rs.cartan)) > 0
     )
 
 

@@ -1,8 +1,10 @@
 """Independent oracles used to cross-check the package.
 
-The root and pairing oracles work from the Cartan matrix alone and share no
-code with the root-string generator and root-string pairing in
-quatforms.rootsys; the base and cover oracles work from plain root sets.
+The root and length-pairing oracles work from the Cartan matrix alone and
+share no code with the root-string generator in quatforms.rootsys; the base
+and cover oracles work from plain root sets.  The root-string pairing walks
+the b-string through a inside the root set: it is how rootsys paired roots
+before it read the pairings with the highest root off the Cartan matrix.
 The centralizer, grade-slice and order oracles are the per-root dot
 product, grade() filters and (height, lex) sort the package replaced with
 tables cached per root system, and the pairwise and base-first closure
@@ -18,7 +20,9 @@ is complexform.analyze as it ran on sets of root tuples, through
 Subsystem and recognize, before it moved to positive-root indices; the
 classification oracle analyzes every candidate with it instead of one
 per W_K-orbit.  The step6 oracle is the set formula complexform ran on
-every call before it read the grading's mirror set.
+every call before it read the grading's mirror set.  The orbit oracle is
+the W_K-orbit walk on coordinate tuples that classify ran before it walked
+ints, with s_theta's column from root-string pairings.
 coroot_pairing and enumerate_involutions are small helpers the package
 itself has no use for.
 """
@@ -26,6 +30,8 @@ itself has no use for.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 
 def reflection_closure(cartan) -> frozenset[tuple[int, ...]]:
@@ -55,15 +61,54 @@ def positive_part(roots) -> frozenset[tuple[int, ...]]:
     return frozenset(r for r in roots if sum(r) > 0)
 
 
+@lru_cache(maxsize=None)
+def root_codes(rs) -> frozenset[int]:
+    """Packed codes of all roots of rs, positive and negative."""
+    return frozenset(rs._codes.values())
+
+
+def pairing_with_coroot(rs, a, b) -> int:
+    """Integer Cartan pairing <a, b-check> of two roots.
+
+    For b != +-a the b-string through a runs unbroken from a - p*b to
+    a + q*b, and <a, b-check> = p - q (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 9.4).  Both walks run on packed
+    root codes.
+    """
+    codes = rs._codes
+    ca, cb = codes.get(a), codes.get(b)
+    for r, c in ((a, ca), (b, cb)):
+        if c is None:
+            raise ValueError(f"{r} is not a root of {rs.type.label}")
+    return _string_pairing(root_codes(rs), ca, cb)
+
+
+def _string_pairing(roots: frozenset[int], ca: int, cb: int) -> int:
+    """<a, b-check> from the packed codes of two roots and the code set."""
+    if ca == cb:
+        return 2
+    if ca == -cb:
+        return -2
+    p = 0
+    v = ca - cb
+    while v in roots:
+        p += 1
+        v -= cb
+    q = 0
+    v = ca + cb
+    while v in roots:
+        q += 1
+        v += cb
+    return p - q
+
+
 def regenerate_from_base(rs, base) -> frozenset[tuple[int, ...]]:
     """Orbit of a base under its own reflections, inside the ambient system.
 
-    Uses the package's pairing_with_coroot for the reflection pairings
-    (pinned against length_pairing below); the result must be exactly the
+    Uses the root-string pairing_with_coroot for the reflection pairings
+    (pinned against length_pairing); the result must be exactly the
     subsystem the base came from.
     """
-    from quatforms.rootsys import pairing_with_coroot
-
     current = set(base) | {tuple(-x for x in b) for b in base}
     frontier = list(current)
     while frontier:
@@ -120,7 +165,7 @@ def pairwise_closure_base(rs, roots) -> tuple[tuple[int, ...], ...]:
             raise NotClosedError(f"{r} is not a root of {rs.type.label}")
         if -c not in code_set:
             raise NotClosedError(f"not symmetric: missing negative of {r}")
-    ambient_codes = rs._code_set
+    ambient_codes = root_codes(rs)
     pos = tuple(r for r in rs.positive_roots if r in roots)
     pos_codes = [get_code(r) for r in pos]
     decomposable = set()
@@ -168,7 +213,7 @@ def base_first_closure_base(rs, roots) -> tuple[tuple[int, ...], ...]:
                 break
         else:
             base.append(i)
-    ambient_codes = rs._code_set
+    ambient_codes = root_codes(rs)
     for j in base:
         a = pos_codes[j]
         for i, x in enumerate(pos_codes):
@@ -301,8 +346,6 @@ def tree_certificate_type(sub):
     positive pairing or a diagram that is no Dynkin diagram.
     """
     from quatforms import CartanType, SimpleType, UnclassifiableSubsystemError
-    from quatforms.rootsys import pairing_with_coroot
-
     rs, base = sub.ambient, sub.base
     k = len(base)
     pairing = [[pairing_with_coroot(rs, a, b) for b in base] for a in base]
@@ -409,7 +452,6 @@ def pairwise_base_type(ambient, base):
     refused, and each connected component looked up among the Dynkin
     diagrams.
     """
-    from quatforms.rootsys import _string_pairing
     from quatforms.subsys import (
         CartanType,
         UnclassifiableSubsystemError,
@@ -418,7 +460,7 @@ def pairwise_base_type(ambient, base):
 
     codes = [ambient._pos_codes[x] for x in base]
     k = len(codes)
-    roots = ambient._code_set
+    roots = root_codes(ambient)
     nbrs = [[] for _ in range(k)]
     for i, a in enumerate(codes):
         for j in range(i + 1, k):
@@ -450,11 +492,55 @@ def pairwise_base_type(ambient, base):
 
 def coroot_pairing(rs, alpha, i: int) -> int:
     """Cartan pairing <alpha, alpha_i-check> for a root alpha, i 1-based."""
-    from quatforms.rootsys import pairing_with_coroot
-
     if not 1 <= i <= rs.rank:
         raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
     return pairing_with_coroot(rs, alpha, rs.simple_roots[i - 1])
+
+
+def wk_orbits(rs, gd) -> list[tuple[tuple[int, ...], ...]]:
+    """W_K-orbits on the mod-2 coweight candidates, each sorted in lex order.
+
+    The tuple walk classify._orbit_table ran before it walked ints and read
+    s_theta's column off the node set.  The orbits come in the lex order of
+    their smallest members and together hold all 2^rank candidates once.
+    A reflection s_beta moves the coweight coordinates c to
+    c - (c . beta) (<alpha_j, beta-check>)_j, so mod 2 it adds that column
+    exactly when c . beta is odd.  The generators are s_i for the simple
+    roots off the node set (column A[j][i]) and s_theta for the highest
+    root, whose column comes from root-string pairings.
+    """
+    n = rs.rank
+    theta = rs.highest_root
+
+    def mask(bits) -> int:
+        # Coordinate 0 is the most significant bit, so integer order is lex order.
+        return sum(1 << (n - 1 - j) for j, b in enumerate(bits) if b % 2)
+
+    gens = [
+        (1 << (n - 1 - i), mask(rs.cartan[j][i] for j in range(n)))
+        for i in range(n)
+        if i + 1 not in gd.node_set
+    ]
+    gens.append(
+        (mask(theta), mask(pairing_with_coroot(rs, a, theta) for a in rs.simple_roots))
+    )
+    vectors = list(product((0, 1), repeat=n))  # vectors[x] has the bits of x
+    seen = bytearray(1 << n)
+    orbits = []
+    for start in range(1 << n):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        members = [start]
+        for x in members:
+            for beta, column in gens:
+                if (x & beta).bit_count() % 2:
+                    y = x ^ column
+                    if not seen[y]:
+                        seen[y] = 1
+                        members.append(y)
+        orbits.append(tuple(vectors[x] for x in sorted(members)))
+    return orbits
 
 
 def enumerate_involutions(rs):
@@ -463,8 +549,6 @@ def enumerate_involutions(rs):
     Includes the zero element; downstream analysis rejects it (the highest
     root pairs to zero with it).
     """
-    from itertools import product
-
     from quatforms import GradingError, ToralElement
 
     if rs.rank < 2:

@@ -185,7 +185,7 @@ def test_criterion_5_property_suites(classification_runs):
             errors.append(f"{label}: recognize round trip failed")
 
     # 5c: grade-2 singleton and agreement of grades with the highest coroot.
-    from quatforms.rootsys import pairing_with_coroot
+    from oracles import pairing_with_coroot
 
     for label in GRADED_LABELS:
         rs = build_root_system(parse_type(label))

@@ -26,12 +26,11 @@ from quatforms.classify import (
     CLASSICAL_FAMILIES,
     _bundled_exceptional,
     _orbit_table,
-    wk_orbits,
 )
 from quatforms.involution import centralizer_roots, pairing
 
 from conftest import CLASSIFY_LABELS, EXCEPTIONAL_LABELS, GRADED_LABELS
-from oracles import brute_force_classify, enumerate_involutions
+from oracles import brute_force_classify, enumerate_involutions, wk_orbits
 
 
 def _rs(label):

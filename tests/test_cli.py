@@ -125,6 +125,16 @@ def test_analyze_sym_errors(capsys):
     assert code == 2
     code, _ = _run(capsys, "analyze", "G2", "--sym", "a,b")
     assert code == 2
+    # int() alone reads these as 1,0 and 10,0: only ASCII digits are coordinates.
+    for sym in ("\uff11,0", "1_0,0", "\u0661,0"):
+        assert main(["analyze", "G2", "--sym", sym]) == 2
+        assert "expected integers" in capsys.readouterr().err
+    # A coordinate past int()'s digit limit is an integer: it gets its own
+    # short message, without the 5,000 digits echoed.
+    assert main(["analyze", "G2", "--sym", "1" * 5000 + ",0"]) == 2
+    assert capsys.readouterr().err == (
+        "quatforms analyze: error: cannot parse --sym: a coordinate has too many digits\n"
+    )
 
 
 def test_classify_ok(capsys):

@@ -15,7 +15,6 @@ from quatforms.rootsys import (
     _COEFF_BOUND,
     _check_coefficient_bound,
     _encode,
-    pairing_with_coroot,
     roots_to_json,
 )
 
@@ -23,6 +22,7 @@ from conftest import GRADED_LABELS, SUPPORTED_LABELS
 from oracles import (
     coroot_pairing,
     length_pairing,
+    pairing_with_coroot,
     positive_part,
     reflection_closure,
     squared_lengths,
@@ -356,6 +356,26 @@ def test_pairing_with_coroot_rejects_non_roots():
 def test_node_sets(label, nodes):
     rs = build_root_system(parse_type(label))
     assert set(node_set(rs)) == nodes
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS)
+def test_theta_pairings_from_cartan_columns_match_string_walks(label):
+    """<theta, alpha_i-check> read off column i of the Cartan matrix is the
+    root-string pairing.  On graded types <alpha_j, theta-check> is 0 or
+    +-1 and nonzero exactly on the node set (the lemma behind classify's
+    s_theta column), and node_set is the walk-based set."""
+    rs = build_root_system(parse_type(label))
+    theta = rs.highest_root
+    walked = [pairing_with_coroot(rs, theta, a) for a in rs.simple_roots]
+    columns = [sum(c * row[i] for c, row in zip(theta, rs.cartan)) for i in range(rs.rank)]
+    assert columns == walked
+    if label not in GRADED_LABELS:
+        return
+    nodes = node_set(rs)
+    assert nodes == {i + 1 for i, p in enumerate(walked) if p > 0}
+    back = [pairing_with_coroot(rs, a, theta) for a in rs.simple_roots]
+    assert set(back) <= {-1, 0, 1}
+    assert {j + 1 for j, p in enumerate(back) if p} == nodes
 
 
 def test_node_set_rejects_rank_one():

@@ -27,7 +27,6 @@ from quatforms.rootsys import (
     SimpleType,
     _cartan_matrix,
     grade,
-    pairing_with_coroot,
     quaternionic_decomposition,
 )
 from quatforms.subsys import (
@@ -50,6 +49,7 @@ from conftest import (
 from oracles import (
     base_first_closure_base,
     indecomposable_base,
+    pairing_with_coroot,
     pairwise_base_type,
     pairwise_closure_base,
     regenerate_from_base,
@@ -412,22 +412,29 @@ def test_edge_pairings_from_lengths_match_string_walks(label):
 
 
 @pytest.mark.parametrize("label", ["D6", "F4", "E8"])
-def test_base_type_and_analyze_walk_no_root_strings(label, monkeypatch):
-    """_base_type and analyze read every Cartan entry off the length table:
-    a root-string walk anywhere in them fails the test."""
-    import quatforms.rootsys as rootsys
+def test_base_type_and_analyze_walk_no_root_strings(label):
+    """_base_type and analyze read every Cartan entry off the length table,
+    and the grading reads theta's pairings off the Cartan matrix: after
+    they run, no module of the package, nor any class in one, binds the
+    root-string walker, the tuple orbit walk or the root code set."""
+    import pkgutil
+    from importlib import import_module
+
+    import quatforms
 
     rs = build_root_system(parse_type(label))
-    gd = quaternionic_decomposition(rs)  # grading reads theta's pairings by walks
-
-    def refuse(roots, a, b):
-        raise AssertionError("a root string was walked")
-
-    monkeypatch.setattr(rootsys, "_string_pairing", refuse)
+    gd = quaternionic_decomposition(rs)
     for t in base_type_test_elements(rs):
         for base in l_and_v_bases(rs, gd, t):
             _base_type(rs, base)
         analyze(rs, gd, t)
+    gone = {"pairing_with_coroot", "_string_pairing", "wk_orbits", "_code_set"}
+    mods = [quatforms] + [
+        import_module(f"quatforms.{m.name}") for m in pkgutil.iter_modules(quatforms.__path__)
+    ]
+    for mod in mods:
+        for scope in [mod, *(v for v in vars(mod).values() if isinstance(v, type))]:
+            assert not gone & set(vars(scope)), (mod.__name__, scope)
 
 
 def _assert_recognize_matches_certificate(sub):
