@@ -34,6 +34,7 @@ from .complexform import _analysis, _verdict
 from .involution import ToralElement
 from .rootsys import (
     COWEIGHT,
+    GradingError,
     InvalidTypeError,
     RootSystem,
     SimpleType,
@@ -41,7 +42,7 @@ from .rootsys import (
     parse_type,
     quaternionic_decomposition,
 )
-from .subsys import CartanType, normalize_components
+from .subsys import CartanType
 
 CLASSICAL_FAMILIES = "ABCD"
 
@@ -191,11 +192,6 @@ def _bundled_exceptional() -> tuple[GoldenEntry, ...]:
     return tuple(_validate_entries(entries, "bundled exceptional registry"))
 
 
-def generator_config() -> dict:
-    """Per-family tested rank span of the classical generators."""
-    return json.loads(_bundled_text("data/classical_generators.json"))
-
-
 # ---------------------------------------------------------------------------
 # Classical generators
 # ---------------------------------------------------------------------------
@@ -225,7 +221,7 @@ def _ct(parts: Iterable[tuple[list[tuple[str, int]], int]], extra_torus: int = 0
     for c, t in parts:
         comps.extend(c)
         torus += t
-    return CartanType(normalize_components(comps), torus)
+    return CartanType(comps, torus)
 
 
 def generate_classical(t: SimpleType) -> list[GoldenEntry]:
@@ -240,15 +236,12 @@ def generate_classical(t: SimpleType) -> list[GoldenEntry]:
     for r = 2r' even.  Family C at rank n carries only P^{n-1}(C).
     Entries that turn out isometric (one coincidence, at D4, where the
     2-plane Grassmannian is the 4-quadric) are merged under both labels.
+    The rules are parametric in the rank, so they serve every buildable
+    classical type but A1, which has no quaternionic grading.
     """
     family, n = t.family, t.rank
-    config = generator_config()[family]
-    lo, hi = config["tested_ranks"]
-    if not lo <= n <= hi:
-        raise GoldenDataError(
-            f"no bundled golden baseline for {t.label}: the family-{family} "
-            f"generator is tested for ranks {lo}..{hi}; pass an explicit golden file"
-        )
+    if n < 2:
+        raise GradingError(f"no quaternionic node grading for {t.label} (rank 1)")
     entries: list[GoldenEntry] = []
 
     if family == "A":
@@ -397,8 +390,10 @@ def golden_for_type(
 
     An explicit path wins and is read on every call; otherwise the bundled
     registry is used (data file for exceptional types, generator for
-    classical families), sliced per ambient type once per process.  Every
-    call returns a fresh list of the (frozen) entries.
+    classical families), sliced per ambient type once per process; it
+    holds entries for every graded type, so the flag is False only for a
+    file that lacks the type.  Every call returns a fresh list of the
+    (frozen) entries.
     """
     if path is not None:
         entries = [e for e in load_golden(path) if e.ambient == t]
@@ -567,13 +562,7 @@ def classify_equal_rank(
     order = sorted(forms, key=lambda k: (_name(k[0]), _name(k[1])))
     found = [FoundForm(*k, *forms[k]) for k in order]
 
-    try:
-        golden, have_baseline = golden_for_type(rs.type, golden_path)
-    except GoldenDataError:
-        if golden_path is not None:
-            raise
-        golden, have_baseline = [], False
-
+    golden, have_baseline = golden_for_type(rs.type, golden_path)
     expected = [e for e in golden if e.equal_rank]
     skipped = [e for e in golden if not e.equal_rank]
     if have_baseline:

@@ -20,6 +20,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 
 from .rootsys import (
     COROOT,
@@ -47,6 +48,7 @@ _SYM_FIELD = re.compile(r"[+-]?[0-9]+")
 _Report = tuple[dict, list[str], int]
 
 
+@lru_cache(maxsize=None)  # built once: main() may run many times in one process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quatforms",

@@ -48,15 +48,21 @@ from operator import add
 
 Root = tuple[int, ...]
 
-FAMILIES = "ABCDEFG"
-
-# Lower rank bounds per family; B2 and C2 are both accepted (they are the
-# same diagram with opposite numbering).
-_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "F": 4, "G": 2}
-_E_RANKS = (6, 7, 8)
-
 # Desk-scale cap for the classical families; exceptional types are fixed.
 CLASSICAL_RANK_CAP = 10
+
+# The buildable types: each family's valid ranks.  B2 and C2 are both
+# accepted (they are the same diagram with opposite numbering).
+_RANKS = {
+    "A": range(1, CLASSICAL_RANK_CAP + 1),
+    "B": range(2, CLASSICAL_RANK_CAP + 1),
+    "C": range(2, CLASSICAL_RANK_CAP + 1),
+    "D": range(3, CLASSICAL_RANK_CAP + 1),
+    "E": range(6, 9),
+    "F": range(4, 5),
+    "G": range(2, 3),
+}
+FAMILIES = tuple(_RANKS)
 
 # Bases a toral element's coordinates may be given in.
 COROOT = "coroot"
@@ -84,32 +90,21 @@ class SimpleType:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_order", (-self.rank, self.family))
-        if self.family not in FAMILIES:
+        ranks = _RANKS.get(self.family)
+        if ranks is None:
             raise InvalidTypeError(
                 f"unknown family {self.family!r}; valid families are A-G"
             )
-        if self.family == "E":
-            if self.rank not in _E_RANKS:
-                raise InvalidTypeError(
-                    f"rank {self.rank} out of range for family E; valid ranks are 6, 7, 8"
-                )
-        elif self.family == "F":
-            if self.rank != 4:
-                raise InvalidTypeError(
-                    f"rank {self.rank} out of range for family F; the only valid rank is 4"
-                )
-        elif self.family == "G":
-            if self.rank != 2:
-                raise InvalidTypeError(
-                    f"rank {self.rank} out of range for family G; the only valid rank is 2"
-                )
-        else:
-            lo = _MIN_RANK[self.family]
-            if not lo <= self.rank <= CLASSICAL_RANK_CAP:
-                raise InvalidTypeError(
-                    f"rank {self.rank} out of range for family {self.family}; "
-                    f"valid ranks are {lo}..{CLASSICAL_RANK_CAP}"
-                )
+        if self.rank not in ranks:
+            if len(ranks) == 1:
+                valid = f"the only valid rank is {ranks[0]}"
+            elif len(ranks) <= 3:
+                valid = "valid ranks are " + ", ".join(map(str, ranks))
+            else:
+                valid = f"valid ranks are {ranks[0]}..{ranks[-1]}"
+            raise InvalidTypeError(
+                f"rank {self.rank} out of range for family {self.family}; {valid}"
+            )
 
     @property
     def label(self) -> str:
@@ -127,12 +122,7 @@ def parse_type(label: str) -> SimpleType:
             f"cannot parse type label {label!r}; expected a family letter A-G "
             "followed by a rank, e.g. E8"
         )
-    family = m.group(1).upper()
-    if family not in FAMILIES:
-        raise InvalidTypeError(
-            f"unknown family {family!r}; valid families are A-G"
-        )
-    return SimpleType(family, int(m.group(2)))
+    return SimpleType(m.group(1).upper(), int(m.group(2)))
 
 
 def _cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:

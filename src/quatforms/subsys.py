@@ -27,8 +27,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .rootsys import (
-    FAMILIES,
-    InvalidTypeError,
+    _RANKS,
     Root,
     RootSystem,
     SimpleType,
@@ -290,11 +289,7 @@ def _diagram_types(rank: int) -> dict[tuple, SimpleType]:
     kept, and both normalize to the same ``CartanType``.
     """
     table: dict[tuple, SimpleType] = {}
-    for family in FAMILIES:
-        try:
-            t = SimpleType(family, rank)
-        except InvalidTypeError:
-            continue
+    for t in (SimpleType(family, rank) for family, ranks in _RANKS.items() if rank in ranks):
         a = _cartan_matrix(t)
         nbrs = {
             i: [(j, a[i][j], a[j][i]) for j in range(rank) if j != i and a[i][j]]

@@ -5,46 +5,20 @@ from itertools import product
 
 import pytest
 
-from quatforms import (
-    InvalidTypeError,
-    SimpleType,
-    ToralElement,
-    build_root_system,
-    parse_type,
-)
-from quatforms.classify import CLASSICAL_FAMILIES, _orbit_table, generator_config
+from quatforms import ToralElement, build_root_system, parse_type
+from quatforms.classify import _orbit_table
 from quatforms.involution import _pairing_values
-from quatforms.rootsys import CLASSICAL_RANK_CAP
+from quatforms.rootsys import _RANKS
 from quatforms.subsys import _closed_base
 
 EXCEPTIONAL_LABELS = ["G2", "F4", "E6", "E7", "E8"]
 
+# Every buildable type, in family then rank order.
+SUPPORTED_LABELS = [f"{family}{n}" for family, ranks in _RANKS.items() for n in ranks]
 
-def _buildable(family: str, rank: int) -> bool:
-    try:
-        SimpleType(family, rank)
-    except InvalidTypeError:
-        return False
-    return True
-
-
-# Every buildable type: classical families up to the rank cap plus exceptionals.
-SUPPORTED_LABELS = [
-    f"{family}{n}"
-    for family in CLASSICAL_FAMILIES
-    for n in range(1, CLASSICAL_RANK_CAP + 1)
-    if _buildable(family, n)
-] + EXCEPTIONAL_LABELS
-
-# Types with a quaternionic node grading (everything of rank >= 2).
+# Types with a quaternionic node grading (everything of rank >= 2), each
+# with a bundled golden baseline.
 GRADED_LABELS = [s for s in SUPPORTED_LABELS if s != "A1"]
-
-# Ranks at which the classifier is validated against the golden registry.
-CLASSIFY_LABELS = EXCEPTIONAL_LABELS + [
-    f"{family}{n}"
-    for family, config in generator_config().items()
-    for n in range(config["tested_ranks"][0], config["tested_ranks"][1] + 1)
-]
 
 
 def base_type_test_elements(rs):

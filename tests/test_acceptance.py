@@ -31,7 +31,7 @@ from quatforms.involution import centralizer, centralizer_roots, convert_to_cowe
 from quatforms.rootsys import grade
 from quatforms.subsys import Subsystem
 
-from conftest import CLASSIFY_LABELS, GRADED_LABELS, SUPPORTED_LABELS
+from conftest import GRADED_LABELS, SUPPORTED_LABELS
 from oracles import disjoint_cover_ok, positive_part, reflection_closure
 
 EXCEPTIONAL = ("G2", "F4", "E6", "E7", "E8")
@@ -47,7 +47,7 @@ def _report(number: int, name: str, errors: list[str], elapsed: float) -> None:
 def classification_runs():
     """All desk-rank classification reports, with per-type wall time."""
     runs = {}
-    for label in CLASSIFY_LABELS:
+    for label in GRADED_LABELS:
         rs = build_root_system(parse_type(label))
         start = time.perf_counter()
         report = classify_equal_rank(rs)
@@ -110,7 +110,7 @@ def test_criterion_3_equal_rank_classification(classification_runs):
     start = time.perf_counter()
     errors = []
     expected_counts = {"G2": 1, "F4": 1, "E6": 2, "E7": 3, "E8": 2}
-    for label in CLASSIFY_LABELS:
+    for label in GRADED_LABELS:
         report, elapsed_type = classification_runs[label]
         if report.no_golden_baseline:
             errors.append(f"{label}: no golden baseline")
@@ -144,7 +144,7 @@ def test_criterion_4_unequal_rank_bookkeeping(classification_runs):
     """Lower-rank registry entries are skipped, never found."""
     start = time.perf_counter()
     errors = []
-    for label in CLASSIFY_LABELS:
+    for label in GRADED_LABELS:
         report, _ = classification_runs[label]
         found_keys = {f.key for f in report.found}
         for e in report.skipped_unequal_rank:
@@ -200,7 +200,7 @@ def test_criterion_5_property_suites(classification_runs):
                 break
 
     # 5d: parity lemma and disjoint cover for every accepted form.
-    for label in CLASSIFY_LABELS:
+    for label in GRADED_LABELS:
         report, _ = classification_runs[label]
         rs = build_root_system(parse_type(label))
         gd = quaternionic_decomposition(rs)

@@ -29,7 +29,7 @@ from quatforms.classify import (
 )
 from quatforms.involution import centralizer_roots, pairing
 
-from conftest import CLASSIFY_LABELS, EXCEPTIONAL_LABELS, GRADED_LABELS
+from conftest import EXCEPTIONAL_LABELS, GRADED_LABELS
 from oracles import brute_force_classify, enumerate_involutions, wk_orbits
 
 
@@ -157,14 +157,14 @@ _ORBIT_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("label", CLASSIFY_LABELS)
+@pytest.mark.parametrize("label", GRADED_LABELS)
 def test_orbit_scan_matches_brute_force(label):
     """Found forms, witnesses, multiplicities and candidates equal the full scan."""
     rs = _rs(label)
     assert classify_equal_rank(rs).to_json() == brute_force_classify(rs).to_json()
 
 
-@pytest.mark.parametrize("label", CLASSIFY_LABELS)
+@pytest.mark.parametrize("label", GRADED_LABELS)
 def test_circle_test_implies_dimension_test(label):
     """At d = 2 every candidate passing the circle test meets m+ in exactly
     dim_H M roots, so classify screens by the circle test alone."""
@@ -293,9 +293,7 @@ def test_exceptional_registry_slice_matches_a_filter(label):
     assert found and entries == [e for e in _bundled_exceptional() if e.ambient.label == label]
 
 
-@pytest.mark.parametrize(
-    "label", [s for s in CLASSIFY_LABELS if s[0] in CLASSICAL_FAMILIES]
-)
+@pytest.mark.parametrize("label", [s for s in GRADED_LABELS if s[0] in CLASSICAL_FAMILIES])
 def test_classical_registry_is_generated_once_and_lists_are_fresh(label):
     t = parse_type(label)
     first, found = golden_for_type(t)
@@ -354,9 +352,9 @@ def test_generator_a_family_unequal_rank_entry():
     assert [e.label for e in degenerate] == ["1b(u=0)"]
 
 
-def test_generator_rejects_untested_rank():
-    with pytest.raises(GoldenDataError, match="tested for ranks 2..8"):
-        generate_classical(parse_type("A9"))
+def test_generator_rejects_a1():
+    with pytest.raises(GradingError, match=r"^no quaternionic node grading for A1 \(rank 1\)$"):
+        generate_classical(parse_type("A1"))
 
 
 def test_table_dim_matches_decomposition():
@@ -501,12 +499,13 @@ def test_classify_without_baseline_still_lists_forms(tmp_path):
     assert len(rep.found) == 1
 
 
-def test_classify_untested_classical_rank_degrades_to_no_baseline():
-    """A buildable rank beyond the generator's tested span still classifies."""
-    rep = classify_equal_rank(_rs("A9"))
-    assert rep.no_golden_baseline
-    assert rep.ok
-    assert len(rep.found) == 5  # the five P^u x P^{8-u} products, u = 0..4
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_every_graded_type_has_a_bundled_baseline(label):
+    """Every graded type, up to the rank cap, is checked against the
+    bundled registry, and its search finds exactly the registry's forms."""
+    assert golden_for_type(parse_type(label))[1]
+    rep = classify_equal_rank(_rs(label))
+    assert rep.ok and not rep.no_golden_baseline
 
 
 @pytest.mark.parametrize(

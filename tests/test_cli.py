@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -42,14 +44,14 @@ def test_bundled_registry_matches_golden_entry_schema():
 
 
 def test_generated_classical_entries_match_golden_entry_schema():
-    from quatforms.classify import generate_classical, generator_config
-    from quatforms.rootsys import SimpleType
+    from quatforms.classify import CLASSICAL_FAMILIES, generate_classical
+    from quatforms.rootsys import _RANKS, SimpleType
 
     validate = _schema("golden_entry.schema.json")
-    for family, config in generator_config().items():
-        lo, hi = config["tested_ranks"]
-        for n in range(lo, hi + 1):
-            validate([e.to_json() for e in generate_classical(SimpleType(family, n))])
+    for family in CLASSICAL_FAMILIES:
+        for n in _RANKS[family]:
+            if (family, n) != ("A", 1):  # no quaternionic grading, no registry
+                validate([e.to_json() for e in generate_classical(SimpleType(family, n))])
 
 
 def test_roots_usage_error(capsys):
@@ -196,6 +198,8 @@ def _bad_rank_golden(where, value):
         return text.replace('"ambient": "G2"', f'"ambient": "{value}"')
     if where == "rank":
         return text.replace('"rank": 1}', f'"rank": {value}}}', 1)
+    if where == "family":
+        return text.replace('"family": "A"', f'"family": "{value}"', 1)
     return text.replace('"torus_rank": 2', f'"torus_rank": {value}', 1)
 
 
@@ -207,11 +211,12 @@ def _bad_rank_golden(where, value):
         _bad_rank_golden("rank", "true"),
         _bad_rank_golden("torus_rank", "2.7"),
         _bad_rank_golden("ambient", "Z9"),
+        _bad_rank_golden("family", "AB"),
         b'[{"label": "\xff"}]',
     ],
     ids=[
         "deep-nesting", "rank-overflow", "rank-bool", "torus-rank-float",
-        "unknown-ambient", "not-utf8",
+        "unknown-ambient", "unknown-family", "not-utf8",
     ],
 )
 def test_classify_malformed_golden_exits_2(tmp_path, capsys, text):
@@ -228,6 +233,8 @@ def test_classify_malformed_golden_exits_2(tmp_path, capsys, text):
     assert str(path) in err
     if "Z9" in str(text):
         assert f"{path}, entry 0" in err
+    if '"AB"' in str(text):
+        assert f"{path}, entry 0: bad Cartan type: unknown family 'AB'" in err
 
 
 _E8_SYM = "0,0,0,0,0,0,0,1"
@@ -334,6 +341,45 @@ def test_output_determinism(capsys, argv):
     _, first = _run(capsys, *argv)
     _, second = _run(capsys, *argv)
     assert first == second
+
+
+def _fuzz_type_labels(n: int) -> list[str]:
+    """Seeded type labels: valid and invalid families and ranks, mixed case,
+    non-ASCII letters and digits, surrounding whitespace."""
+    rng = random.Random("type-label-fuzz")
+    families = [
+        *"ABCDEFGHZabcdefgz", "", "AB", "ee", "Ab",
+        "\u00c9", "\u03a3", "\u00df", "\uff25", "\u212a", "\u01c5",
+    ]
+    digits = ["\u0663", "\uff18", "\U0001d7e0", "\u00b2"]
+    spaces = ["", "", " ", "\t", "\n", "\u3000"]
+    labels = ["A" + "9" * 5000]
+    while len(labels) < n:
+        roll = rng.random()
+        if roll < 0.7:
+            rank = str(rng.randrange(21))
+        elif roll < 0.85:
+            rank = rng.choice(digits) + rng.choice(["", "1"])
+        else:
+            rank = rng.choice(["", "0" + str(rng.randrange(11)), "+3", "-3", "3.0", "1_0"])
+        labels.append(rng.choice(spaces) + rng.choice(families) + rank + rng.choice(spaces))
+    return labels
+
+
+def test_type_label_fuzz(capsys):
+    """Any type label exits 0, 1 or 2 with the same output on a repeat,
+    and never with a traceback."""
+    start = time.perf_counter()
+    for label in _fuzz_type_labels(300):
+        for verb in ("roots", "decompose", "classify"):
+            runs = []
+            for _ in range(2):
+                code = main([verb, label])
+                runs.append((code, *capsys.readouterr()))
+            assert runs[0][0] in (0, 1, 2), (verb, label)
+            assert "Traceback" not in runs[0][2], (verb, label)
+            assert runs[0] == runs[1], (verb, label)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_console_entry_point_runs():

@@ -60,6 +60,8 @@ CASES = {
     "classify_E6": ["classify", "E6"],
     "classify_A9": ["classify", "A9"],
     "classify_G2_decoy": ["classify", "G2", "--golden", "{decoy}"],
+    # The decoy file holds no F4 entry, so F4 has no baseline to diff.
+    "classify_F4_no_baseline": ["classify", "F4", "--golden", "{decoy}"],
     "table": ["table"],
     "table_json": ["table", "--json"],
     "cases": ["cases"],

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from quatforms import (
     GradingError,
     InvalidTypeError,
+    SimpleType,
     build_root_system,
     grade,
     node_set,
@@ -42,12 +45,34 @@ def test_parse_type_rejects_unknown_family():
         parse_type("Z9")
 
 
+@pytest.mark.parametrize("family", ["AB", ""])
+def test_simple_type_rejects_unknown_family(family):
+    """Only a single known letter names a family, not a substring of them."""
+    message = f"unknown family {family!r}; valid families are A-G"
+    with pytest.raises(InvalidTypeError, match=f"^{re.escape(message)}$"):
+        SimpleType(family, 3)
+
+
+# The tail of each rejection message: the family's valid ranks.
+_VALID_RANKS = {
+    "A": "valid ranks are 1..10",
+    "B": "valid ranks are 2..10",
+    "C": "valid ranks are 2..10",
+    "D": "valid ranks are 3..10",
+    "E": "valid ranks are 6, 7, 8",
+    "F": "the only valid rank is 4",
+    "G": "the only valid rank is 2",
+}
+
+
 @pytest.mark.parametrize(
     "label",
-    ["A0", "B1", "C1", "D2", "E5", "E9", "F5", "G3", "A11", "B11", "D11"],
+    ["A0", "B1", "C1", "D2", "E5", "E9", "F5", "G3", "A11", "B11", "D11", "C11", "F3"],
 )
 def test_parse_type_rejects_out_of_range(label):
-    with pytest.raises(InvalidTypeError, match="out of range"):
+    family, rank = label[0], label[1:]
+    message = f"rank {rank} out of range for family {family}; {_VALID_RANKS[family]}"
+    with pytest.raises(InvalidTypeError, match=f"^{re.escape(message)}$"):
         parse_type(label)
 
 
