@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
 
-from .complexform import _analysis, _verdict
+from .complexform import _mod2_analysis, _verdict
 from .involution import ToralElement
 from .rootsys import (
     COWEIGHT,
@@ -377,10 +377,15 @@ def _merge_coincident(entries: list[GoldenEntry]) -> list[GoldenEntry]:
 
 @lru_cache(maxsize=None)
 def _bundled_for_type(t: SimpleType) -> tuple[GoldenEntry, ...]:
-    """The bundled registry's entries for one ambient type."""
+    """The bundled registry's entries for one ambient type, their types the
+    instances the search finds (``CartanType._of_table_parts``)."""
     if t.family in CLASSICAL_FAMILIES:
-        return tuple(generate_classical(t))
-    return tuple(e for e in _bundled_exceptional() if e.ambient == t)
+        entries = generate_classical(t)
+    else:
+        entries = [e for e in _bundled_exceptional() if e.ambient == t]
+    types = {ct for e in entries for ct in e.key}
+    one = {ct: CartanType._of_table_parts(ct.components, ct.torus_rank) for ct in types}
+    return tuple(replace(e, l_type=one[e.l_type], v_type=one[e.v_type]) for e in entries)
 
 
 def golden_for_type(
@@ -547,15 +552,16 @@ def classify_equal_rank(
 
     forms: dict[tuple[CartanType, CartanType], list] = {}  # key -> [witness, count]
     n_candidates = 0
-    for _rep, size, passes, t in _orbit_table(rs):
+    for rep, size, passes, t in _orbit_table(rs):
         n_candidates += size
         if not passes:
             continue
-        l_type, v_type, circle_ok, s, step6 = _analysis(rs, gd, t)
-        if not (circle_ok and len(s) == dim_h and step6 == 0):
+        l_type, v_type, circle_ok, s, step6 = _mod2_analysis(rs, gd, rep)
+        dim_s = s.bit_count()
+        if not (circle_ok and dim_s == dim_h and step6 == 0):
             raise RuntimeError(
                 f"fast screen disagrees with full analysis at {t.describe()}: "
-                f"verdict {_verdict(circle_ok, len(s), dim_h)}, step6 count {step6}"
+                f"verdict {_verdict(circle_ok, dim_s, dim_h)}, step6 count {step6}"
             )
         forms.setdefault((l_type, v_type), [t, 0])[1] += size
 

@@ -39,8 +39,8 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-# One --sym coordinate once stripped, as int() strips it: ASCII digits only,
-# where int() alone also takes any Unicode digit and underscores.
+# One --sym coordinate or --denom once stripped, as int() strips it: ASCII
+# digits only, where int() alone also takes any Unicode digit and underscores.
 _SYM_FIELD = re.compile(r"[+-]?[0-9]+")
 
 # What a verb's runner returns: the JSON document, the text lines and the
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--sym", required=True, help="comma-separated coordinates, e.g. 0,0,0,0,0,0,0,1"
     )
-    p_an.add_argument("--denom", type=int, default=2)
+    p_an.add_argument("--denom", type=_denom, default=2)
     p_an.add_argument("--basis", choices=(COROOT, COWEIGHT), default=COROOT)
     p_an.add_argument("--json", action="store_true")
 
@@ -88,6 +88,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cases.add_argument("--json", action="store_true")
 
     return parser
+
+
+def _denom(text: str) -> int:
+    """--denom's integer, read by --sym's rule for one coordinate."""
+    if not _SYM_FIELD.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's limit on digits in an int string
+        raise argparse.ArgumentTypeError("invalid int value: too many digits") from None
 
 
 def _parse_sym(text: str, rank: int) -> tuple[int, ...]:

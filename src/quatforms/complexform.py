@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .involution import ToralElement, _pairing_values
 from .rootsys import GradedDecomposition, Root, RootSystem
-from .subsys import _A1, CartanType, _base_diagram, _closed_base, _components
+from .subsys import CartanType, _adjacency, _base_indices, _bits, _closed_base, _components
 
 COMPLEX_FORM = "complex-form"
 NOT_COMPLEX_FORM = "not-complex-form"
@@ -80,57 +80,71 @@ def _verdict(circle_ok: bool, dim_s: int, dim_h: int) -> str:
     return COMPLEX_FORM if circle_ok and dim_s == dim_h else NOT_COMPLEX_FORM
 
 
-def _analysis(rs: RootSystem, gd: GradedDecomposition, t: ToralElement) -> tuple:
-    """(l_type, v_type, circle_ok, s, step6) of t: the kernel of ``analyze``.
+def _kernel(rs: RootSystem, gd: GradedDecomposition, kept: int, present: int) -> tuple:
+    """(l_type, v_type, circle_ok, s, step6) of the centralizer l with positive
+    member mask kept and role sum present (``RootSystem._triple_masks``), s a
+    member mask: the kernel of ``analyze`` and ``classify_equal_rank``.
 
-    Every step runs on indices into ``rs.positive_roots``, and s lists the
-    indices of s.  l keeps those whose pairing with t is 0 mod denom, the
-    circle test reads the highest root's pairing (the last), and
-    ``gd.in_m`` splits l into s (grade 1) and v.  l and v go through the
-    closure check and base of ``Subsystem``; l's base diagram, read once by
-    the kernels behind ``recognize``, types both.
-
-    Lemma: the grading g is additive and >= 0 on positive roots, theta
-    alone has g = 2, and g = 0 roots are orthogonal to theta.  So v = (l ^
-    g^-1(0)) + {+-theta if theta in l}, and the base of l ^ g^-1(0) is l's
-    base nodes with g = 0 (Bourbaki, Lie VI 1.7): v is typed from l's
-    diagram on those nodes, plus A1 when the circle test fails.
+    v = l ^ k has role sum present & the role bits of the roots off m, and l
+    holds the highest root theta exactly when present has theta's spare bit,
+    the top role bit.  Lemma: the grading g is additive and >= 0 on positive
+    roots, theta alone has g = 2, and g = 0 roots are orthogonal to theta,
+    so v = (l ^ g^-1(0)) + {+-theta if theta in l}, and v's base is l's base
+    nodes off m, plus theta when l holds it (Bourbaki, Lie VI 1.7): one mask
+    comparison checks it.  theta + x is no root for x > 0, so v is typed on
+    l's adjacency masks restricted to v's base.
     """
-    vals = _pairing_values(rs, t)
-    d = t.denom
-    # Indices stand for positive roots and their negatives, so each set is
-    # symmetric and made of roots by construction; closure is checked.
-    kept = [x for x, v in enumerate(vals) if v % d == 0]
-    in_m = gd.in_m
-    s = [x for x in kept if in_m[x]]
-    l_base = _closed_base(rs, kept)
-    v_base = _closed_base(rs, [x for x in kept if not in_m[x]])
-    circle_ok = vals[-1] % d != 0
-    theta = len(vals) - 1
-    v0 = [x for x in l_base if not in_m[x] and x != theta]  # l's grade-0 base nodes
-    if v0 + [theta] * (not circle_ok) != v_base:
-        raise RuntimeError(f"v base at {t.describe()} is not l's grade-0 base plus theta")
-    nbrs = _base_diagram(rs, l_base)  # theta + x is no root, so theta meets no edge
-    v_parts = _components({x: [e for e in nbrs[x] if not in_m[e[0]]] for x in v0})
-    v_parts += [_A1] * (not circle_ok)
-    l_type = CartanType._of_table_parts(_components(nbrs), rs.rank - len(l_base))
-    v_type = CartanType._of_table_parts(v_parts, rs.rank - len(v_base))
-    return l_type, v_type, circle_ok, s, _step6_count(rs, gd, s)
+    m, v_roles = gd._masks
+    width = rs._triple_masks[3]
+    v_present = present & v_roles
+    l_base, v_base = _closed_base(rs, present), _closed_base(rs, v_present)
+    theta = present >> 3 * width - 1 << width - 1  # theta's spare bit if theta is in l
+    if v_base != l_base & v_present >> 2 * width | theta:
+        raise RuntimeError(f"v base of l = {kept:#x} is not l's grade-0 base plus theta")
+    adj, lengths = _adjacency(rs, _base_indices(rs, l_base)), rs._sq_lengths
+    v_adj = {x: a & ~m for x, a in adj.items() if not m >> x & 1}
+    if theta:
+        v_adj[len(lengths) - 1] = 0
+    l_type = CartanType._of_table_parts(_components(adj, lengths), rs.rank - len(adj))
+    v_type = CartanType._of_table_parts(_components(v_adj, lengths), rs.rank - len(v_adj))
+    s = kept & m
+    step6 = _step6_count(rs, gd, _bits(s)) if gd._mirror else 0
+    return l_type, v_type, not theta, s, step6
+
+
+def _analysis(rs: RootSystem, gd: GradedDecomposition, t: ToralElement) -> tuple:
+    """``_kernel`` of t: l keeps the positive roots whose ``_pairing_values``
+    entry is 0 mod denom."""
+    d, roles = t.denom, rs._triple_masks[0]
+    kept = [x for x, v in enumerate(_pairing_values(rs, t)) if v % d == 0]
+    return _kernel(rs, gd, sum([1 << x for x in kept]), sum([roles[x] for x in kept]))
+
+
+def _mod2_analysis(rs: RootSystem, gd: GradedDecomposition, coords: tuple[int, ...]) -> tuple:
+    """``_kernel`` of the coweight-basis element coords / 2.  Lemma: c . r mod
+    2 is F2-linear in c, and member and role bits are disjoint between roots,
+    so c's member mask and role sum are XORs of ``RootSystem._parity_masks``."""
+    (kept, present), odd = rs._parity_masks
+    for c, (k, r) in zip(coords, odd):
+        if c:
+            kept ^= k
+            present ^= r
+    return _kernel(rs, gd, kept, present)
 
 
 def analyze(
     rs: RootSystem, gd: GradedDecomposition, t: ToralElement
 ) -> ComplexFormAnalysis:
     """Run the full pipeline: centralizer, grade slices, criteria, verdict.
-    ``_analysis`` runs it on positive-root indices; this builds the report."""
+    ``_analysis`` runs it on bitmasks; this builds the report."""
     l_type, v_type, circle_ok, s, step6 = _analysis(rs, gd, t)
-    dim_s, dim_h = len(s), gd.quaternionic_dim
+    dim_s, dim_h = s.bit_count(), gd.quaternionic_dim
     return ComplexFormAnalysis(
         ambient=rs.type.label,
         sym=t,
         l_type=l_type,
         v_type=v_type,
-        s_pos=tuple(rs.positive_roots[x] for x in s),
+        s_pos=tuple(rs.positive_roots[x] for x in _bits(s)),
         circle_ok=circle_ok,
         dim_s=dim_s,
         dim_h=dim_h,

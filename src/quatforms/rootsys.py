@@ -21,13 +21,13 @@ build_root_system) a RootSystem also caches a parent table that writes
 each non-simple positive root as an earlier positive root plus one simple
 root (Humphreys, 10.2), so anything linear in the root, such as a toral
 pairing, costs one addition per positive root; a table of the positive
-sum triples alpha + beta = gamma, and masks of the positive roots whose
-sum or difference with each positive root is a root, so a subsystem's
-closure check, base and base diagram are a few big-int operations per
-member; and each positive root's squared length, for the pairings across
-a base diagram's edges.  None of these tables leaves the package.  A
-GradedDecomposition flags its grade-1 roots by index when it is built
-(``in_m``), so grade slices are lookups.
+sum triples alpha + beta = gamma, as per-root masks whose sum over a root
+set gives its closure check and base in a few big-int operations, and
+per coordinate, the masks of the roots with an odd coefficient; and each
+positive root's squared length, for the pairings across a base diagram's
+edges.  None of these tables leaves the package.  A GradedDecomposition
+flags its grade-1 roots by index when it is built (``in_m``), so grade
+slices are lookups.
 
 The highest root defines a grading by its attach node(s) in the extended
 diagram: grade 1 cuts out the tangent part of the quaternionic symmetric
@@ -122,7 +122,11 @@ def parse_type(label: str) -> SimpleType:
             f"cannot parse type label {label!r}; expected a family letter A-G "
             "followed by a rank, e.g. E8"
         )
-    return SimpleType(m.group(1).upper(), int(m.group(2)))
+    try:
+        rank = int(m.group(2))
+    except ValueError:  # past the interpreter's limit on digits in an int string
+        raise InvalidTypeError("cannot parse type label: the rank has too many digits") from None
+    return SimpleType(m.group(1).upper(), rank)
 
 
 def _cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
@@ -163,6 +167,21 @@ def _cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
     else:  # G2: alpha_1 short, alpha_2 long
         edge(0, 1, -1, -3)
     return tuple(tuple(row) for row in a)
+
+
+def _simple_lengths(a: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Squared lengths of the simple roots of a connected Cartan matrix, short
+    roots 1: |a_j|^2 / |a_i|^2 = A[j][i] / A[i][j] across each edge."""
+    n = len(a)
+    d, stack = [6] + [0] * (n - 1), [0]  # 6 is divisible by the ratios 2 and 3
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if a[i][j] and not d[j]:
+                d[j] = d[i] * a[j][i] // a[i][j]
+                stack.append(j)
+    short = min(d)
+    return [x // short for x in d]
 
 
 # Packed root codes: c_1 + 32 c_2 + ... + 32^(n-1) c_n, unique for |c_j| <= 15.
@@ -315,46 +334,59 @@ class RootSystem:
         return tuple(triples)
 
     @cached_property
-    def _triple_masks(self) -> tuple[tuple[int, ...], ...]:
-        """(roles, tops, sums, diffs): four bitmasks per positive root.
+    def _triple_masks(self) -> tuple:
+        """(roles, sums, diffs, width, fill, slots, spare_roots): the positive
+        sum triples as bitmasks, for ``subsys._closed_base``.
 
-        roles[x] has bit t when x is the u of triple t, bit T + t when it
-        is the v and bit 2T + t when it is the w; tops[x] has bit t when x
-        is the w.  Each of the 3T role bits belongs to exactly one root,
-        so the role masks of a root set can be summed instead of or-ed.
-        sums[x] (diffs[x]) has bit y when [x] + [y] ([x] - [y]) is a root.
+        A region of ``width`` bits holds the triples grouped by their w, in
+        the order of w, with a spare bit after each root's group; slots[t] is
+        triple t's bit, ``fill`` sets every group bit and spare_roots maps each
+        spare bit to its root.  roles[x] has, in its first (second) region, the
+        bits of the triples whose u (v) is x, and in its third its own group
+        and spare bit.  Each role bit belongs to one root, so a root set's role
+        masks can be summed, and the sum holds the members on its third
+        region's spare bits.  sums[x] (diffs[x]) has bit y when [x] + [y]
+        ([x] - [y]) is a root.
         """
-        triples = self._sum_triples
-        n_triples = len(triples)
-        roles = [0] * len(self.positive_roots)
-        tops, sums, diffs = roles.copy(), roles.copy(), roles.copy()
+        triples, n = self._sum_triples, len(self.positive_roots)
+        groups: list[list[int]] = [[] for _ in range(n)]
+        for t, (_, _, w) in enumerate(triples):
+            groups[w].append(t)
+        slots, spare_roots, w_roles, width = [0] * len(triples), {}, [], 0
+        for x, group in enumerate(groups):
+            for t in group:
+                slots[t], width = width, width + 1
+            spare_roots[width] = x
+            w_roles.append((2 << width) - (1 << width - len(group)))
+            width += 1
+        roles, sums, diffs = [w << 2 * width for w in w_roles], [0] * n, [0] * n
         for t, (u, v, w) in enumerate(triples):
-            roles[u] |= 1 << t
-            roles[v] |= 1 << (n_triples + t)
-            roles[w] |= 1 << (2 * n_triples + t)
-            tops[w] |= 1 << t
+            roles[u] |= 1 << slots[t]
+            roles[v] |= 1 << width + slots[t]
             sums[u] |= 1 << v
             sums[v] |= 1 << u
             diffs[u] |= 1 << w
             diffs[v] |= 1 << w
             diffs[w] |= 1 << u | 1 << v
-        return tuple(roles), tuple(tops), tuple(sums), tuple(diffs)
+        fill = (1 << width) - 1 - sum([1 << p for p in spare_roots])
+        return tuple(roles), tuple(sums), tuple(diffs), width, fill, tuple(slots), spare_roots
+
+    @cached_property
+    def _parity_masks(self) -> tuple:
+        """(all, odd): the member mask and role sum of all positive roots and,
+        per coordinate i, of those with an odd coefficient i."""
+        roles, pos = self._triple_masks[0], self.positive_roots
+        odd = [[x for x, r in enumerate(pos) if r[i] % 2] for i in range(self.rank)]
+        pairs = [(sum([1 << x for x in xs]), sum([roles[x] for x in xs])) for xs in odd]
+        return ((1 << len(pos)) - 1, sum(roles)), tuple(pairs)
 
     @cached_property
     def _sq_lengths(self) -> tuple[int, ...]:
-        """Squared length of each positive root, short roots 1: |a_j|^2 / |a_i|^2 =
-        A[j][i] / A[i][j] across simple edges, then |b + a_i|^2 = |b|^2 + |a_i|^2
-        (1 + <b, a_i-check>) along ``_parents``, carrying each root's pairing row."""
+        """Squared length of each positive root, short roots 1: ``_simple_lengths``,
+        then |b + a_i|^2 = |b|^2 + |a_i|^2 (1 + <b, a_i-check>) along
+        ``_parents``, carrying each root's pairing row."""
         a, n = self.cartan, self.rank
-        d, stack = [6] + [0] * (n - 1), [0]  # 6 is divisible by the ratios 2 and 3
-        while stack:  # the diagram is connected
-            i = stack.pop()
-            for j in range(n):
-                if a[i][j] and not d[j]:
-                    d[j] = d[i] * a[j][i] // a[i][j]
-                    stack.append(j)
-        short = min(d)
-        d = [x // short for x in d]
+        d = _simple_lengths(a)
         rows, lengths = [a[i] for i in reversed(range(n))], d[::-1]
         for p, i in self._parents:
             rows.append(tuple(map(add, rows[p], a[i])))
@@ -432,7 +464,7 @@ class GradedDecomposition:
     Grade 1 spans the tangent space of the quaternionic symmetric space
     G/K built on the highest root; grades 0 and 2 span the isotropy
     algebra.  The highest root is the unique root of grade 2.  ``in_m``
-    flags the grade-1 roots by their index in ``positive_roots``.
+    flags the grade-1 roots by their index in ``positive_roots`` of ``_rs``.
     """
 
     node_set: frozenset[int]
@@ -440,6 +472,14 @@ class GradedDecomposition:
     m_pos: tuple[Root, ...]
     quaternionic_dim: int
     in_m: tuple[bool, ...] = field(repr=False, compare=False)
+    _rs: RootSystem = field(repr=False, compare=False)
+
+    @cached_property
+    def _masks(self) -> tuple[int, int]:
+        """The member mask of the grade-1 roots, and the role sum of the others."""
+        roles = self._rs._triple_masks[0]
+        m = sum([1 << x for x, flag in enumerate(self.in_m) if flag])
+        return m, sum([r for r, flag in zip(roles, self.in_m) if not flag])
 
     @cached_property
     def _m_codes(self) -> frozenset[int]:
@@ -487,6 +527,7 @@ def quaternionic_decomposition(rs: RootSystem) -> GradedDecomposition:
         m_pos=tuple(m_pos),
         quaternionic_dim=len(m_pos) // 2,
         in_m=tuple(in_m),
+        _rs=rs,
     )
 
 

@@ -8,12 +8,12 @@ closed exactly when no triple has exactly two of its roots in the set,
 and the base of a closed set is its positive members that are the sum of
 no triple with both summands present (Humphreys, Introduction to Lie
 Algebras and Representation Theory, 10.1).  With the triples held as
-bitmasks per root system, validation costs O(k) big-int operations for
-k positive members.  The base diagram's edges are read off per-root sum
-masks and its Cartan entries off root lengths, and each component is
-looked up by a packed key in a per-rank table of the Dynkin diagrams that
-build the root systems (``rootsys._cartan_matrix``).  Both steps are
-kernels on positive-root indices (``_closed_base``, ``_base_diagram``):
+bitmasks per root system, validation costs a few big-int operations on
+the sum of the members' role masks.  The base diagram's edges are read
+off per-root sum masks and its Cartan entries off root lengths, and each
+component is looked up by a packed key in a per-rank table of the Dynkin
+diagrams that build the root systems (``rootsys._cartan_matrix``).  Both
+steps are kernels on bitmasks (``_closed_base``, ``_components``):
 ``Subsystem`` and ``recognize`` wrap them for root-tuple sets, and
 ``complexform.analyze`` calls them directly.
 """
@@ -32,6 +32,7 @@ from .rootsys import (
     RootSystem,
     SimpleType,
     _cartan_matrix,
+    _simple_lengths,
     parse_type,
 )
 
@@ -98,33 +99,53 @@ class Subsystem:
         members = sorted([position[c] for c in code_set if c > 0])
         pos = ambient.positive_roots
         object.__setattr__(self, "positive_roots", tuple(pos[x] for x in members))
-        object.__setattr__(self, "base", tuple(pos[x] for x in _closed_base(ambient, members)))
+        roles = ambient._triple_masks[0]
+        base = _closed_base(ambient, sum([roles[x] for x in members]))
+        object.__setattr__(self, "base", tuple(pos[x] for x in _base_indices(ambient, base)))
 
 
-def _closed_base(ambient: RootSystem, members: list[int]) -> list[int]:
-    """Base, as indices, of the symmetric root set whose positive members
-    sit at the ascending indices ``members`` of ``ambient.positive_roots``.
-    Raises NotClosedError, naming a missing root, if the set is not closed."""
-    # Role bits are disjoint between roots, so the sum is their union.
-    roles, tops, _, _ = ambient._triple_masks
-    n_triples = len(ambient._sum_triples)
-    present = sum([roles[x] for x in members])
-    full = (1 << n_triples) - 1
+def _closed_base(ambient: RootSystem, present: int) -> int:
+    """Base, as spare bits (``RootSystem._triple_masks``), of the symmetric
+    root set whose positive members' role masks sum to present.  Raises
+    NotClosedError, naming a missing root, if the set is not closed.
+
+    Lemma (carry): uv has triple t's bit when both its summands are members.
+    fill is all ones on each group, so uv + fill carries into root x's spare
+    bit, 0 in both, exactly when x is such a sum; the base is the members'
+    spare bits in w_in that no carry reaches (Humphreys 10.1)."""
+    _, _, _, width, fill, slots, _ = ambient._triple_masks
+    full = (1 << width) - 1
     u_in = present & full
-    v_in = present >> n_triples & full
-    w_in = present >> 2 * n_triples
+    v_in = present >> width & full
+    w_in = present >> 2 * width
     uv = u_in & v_in
     bad = (uv | (u_in | v_in) & w_in) & ~(uv & w_in)
     if bad:
         # Name the lowest bad triple's two members, the earlier first:
         # u < v < w in ambient order.
         pos = ambient.positive_roots
-        t = (bad & -bad).bit_length() - 1
+        t = min(t for t, p in enumerate(slots) if bad >> p & 1)
         u, v, w = ambient._sum_triples[t]
-        if not w_in >> t & 1:
+        if not w_in >> slots[t] & 1:
             raise _missing(pos[u], "+", pos[v])
-        raise _missing(pos[u] if u_in >> t & 1 else pos[v], "-", pos[w])
-    return [x for x in members if not uv & tops[x]]
+        raise _missing(pos[u] if u_in >> slots[t] & 1 else pos[v], "-", pos[w])
+    return w_in & ~(fill | uv + fill)
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of mask's set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _base_indices(ambient: RootSystem, base: int) -> list[int]:
+    """``_closed_base``'s spare bits as ascending positive-root indices."""
+    spare_roots = ambient._triple_masks[6]
+    return [spare_roots[p] for p in _bits(base)]
 
 
 def base_of(sub: Subsystem) -> list[Root]:
@@ -183,10 +204,8 @@ class CartanType:
     @classmethod
     def _of_table_parts(cls, parts: list[SimpleType], torus_rank: int) -> "CartanType":
         """The type of components from ``_diagram_types``, which holds no
-        low-rank alias: sorted, with no alias lookup."""
-        self, comps = object.__new__(cls), tuple(sorted(parts, key=_ORDER))
-        vars(self).update(components=comps, torus_rank=torus_rank, _hash=hash((comps, torus_rank)))
-        return self
+        low-rank alias: sorted, with no alias lookup, as its one instance."""
+        return _interned(tuple(sorted(parts, key=_ORDER)), torus_rank)
 
     def __hash__(self) -> int:  # cached: classify keys dicts by (L, V) pairs
         return self._hash
@@ -244,22 +263,40 @@ class CartanType:
         return self.render()
 
 
-_Neighbours = dict[int, list[tuple[int, int, int]]]
-_A1 = SimpleType("A", 1)
-# The 27 classes (a_ij, a_ji, degree of j) a Dynkin diagram's neighbours can show.
-_EDGE_CLASSES = {c: 4**k for k, c in enumerate(product((-1, -2, -3), (-1, -2, -3), (1, 2, 3)))}
+@lru_cache(maxsize=None)
+def _interned(comps: tuple[SimpleType, ...], torus_rank: int) -> CartanType:
+    """One instance per type, so that the search's dict hits and the diff
+    against the bundled registry compare by identity, not by ``__eq__``."""
+    self = object.__new__(CartanType)
+    vars(self).update(components=comps, torus_rank=torus_rank, _hash=hash((comps, torus_rank)))
+    return self
 
 
-def _diagram_key(nbrs: _Neighbours, nodes: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Isomorphism key of one connected base diagram.
+_Adjacency = dict[int, int]  # each node's neighbours, as a mask of node bits
+# The entries (a_ij, a_ji) across an edge from the squared lengths of its
+# ends, whose ratio is 1, 2 or 3 (Humphreys 9.4), and the 15 classes (a_ij,
+# a_ji, degree of j) a Dynkin diagram's neighbours can show, keyed by the
+# two lengths and the degree.
+_ENTRIES = {
+    (a, b): (-(a // b or 1), -(b // a or 1)) for a, b in product((1, 2, 3), repeat=2) if a * b != 6
+}
+_CLASSES = sorted(set(_ENTRIES.values()))
+_EDGE_CLASSES = {
+    (*ab, d): 4 ** (3 * _CLASSES.index(e) + d - 1) for ab, e in _ENTRIES.items() for d in (1, 2, 3)
+}
 
-    ``nbrs[i]`` lists ``(j, a_ij, a_ji)`` for each neighbour j of node i,
-    a_ij = <b_i, b_j-check>.  The key is the node count and the sorted
-    ints that pack each node's multiset of (a_ij, a_ji, degree of j), as
-    the sum of their ``_EDGE_CLASSES``.  A neighbour outside those classes
-    raises KeyError, so all degrees are at most 3, no count overflows its
-    two bits, and the ints hold the multisets.  A connected diagram shares
-    a key with a Dynkin diagram only if it is that diagram:
+
+def _component_keys(adj: _Adjacency, lengths: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """Isomorphism key of each connected component of a base diagram.
+
+    ``adj[i]`` masks the neighbours of node i, and ``lengths[i]`` is its
+    squared length, which fixes the entries a_ij = <b_i, b_j-check> across
+    its edges (``_ENTRIES``).  A key is the node count and the sorted ints
+    that pack each node's multiset of (a_ij, a_ji, degree of j), as the sum
+    of their ``_EDGE_CLASSES``.  A neighbour outside those classes raises
+    KeyError, so all degrees are at most 3, no count overflows its two
+    bits, and the ints hold the multisets.  A connected diagram shares a key
+    with a Dynkin diagram only if it is that diagram:
 
     - The degrees fix the edge count, so a match with n nodes has n - 1
       edges and is a tree.
@@ -270,14 +307,29 @@ def _diagram_key(nbrs: _Neighbours, nodes: Sequence[int]) -> tuple[int, tuple[in
       degree-2 nodes fix which arm has length 2, so E8 (arms 1, 2, 4)
       differs from the tree with arms 1, 3, 3.
     """
-    ints = []
-    for i in nodes:  # plain loops: a comprehension per node costs twice the time
-        packed = 0
-        for j, aij, aji in nbrs[i]:
-            packed += _EDGE_CLASSES[aij, aji, len(nbrs[j])]
-        ints.append(packed)
-    ints.sort()
-    return len(nodes), tuple(ints)
+    keys, left = [], 0
+    for i in adj:
+        left |= 1 << i
+    while left:
+        comp = grow = left & -left
+        ints = []
+        while grow:  # flood the component from its lowest node, packing each node
+            low = grow & -grow
+            grow ^= low
+            i = low.bit_length() - 1
+            nbrs, li, packed = adj[i], lengths[i], 0
+            grow |= nbrs & ~comp
+            comp |= nbrs
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                j = low.bit_length() - 1
+                packed += _EDGE_CLASSES[li, lengths[j], adj[j].bit_count()]
+            ints.append(packed)
+        left ^= comp
+        ints.sort()
+        keys.append((len(ints), tuple(ints)))
+    return keys
 
 
 @lru_cache(maxsize=None)
@@ -291,18 +343,15 @@ def _diagram_types(rank: int) -> dict[tuple, SimpleType]:
     table: dict[tuple, SimpleType] = {}
     for t in (SimpleType(family, rank) for family, ranks in _RANKS.items() if rank in ranks):
         a = _cartan_matrix(t)
-        nbrs = {
-            i: [(j, a[i][j], a[j][i]) for j in range(rank) if j != i and a[i][j]]
-            for i in range(rank)
-        }
-        table.setdefault(_diagram_key(nbrs, range(rank)), t)
+        adj = {i: sum([1 << j for j in range(rank) if j != i and a[i][j]]) for i in range(rank)}
+        table.setdefault(_component_keys(adj, _simple_lengths(a))[0], t)
     return table
 
 
-def _component_type(nbrs: _Neighbours, nodes: Sequence[int]) -> SimpleType:
-    """The simple type of one connected base diagram, by table lookup."""
+def _components(adj: _Adjacency, lengths: Sequence[int]) -> list[SimpleType]:
+    """The simple type of each component of a base diagram, by table lookup."""
     try:
-        return _diagram_types(len(nodes))[_diagram_key(nbrs, nodes)]
+        return [_diagram_types(key[0])[key] for key in _component_keys(adj, lengths)]
     except KeyError:
         raise UnclassifiableSubsystemError("base diagram matches no simple type") from None
 
@@ -321,55 +370,28 @@ def recognize(sub: Subsystem) -> CartanType:
 
 def _base_type(ambient: RootSystem, base: list[int]) -> CartanType:
     """Cartan type of the subsystem whose base is at these positive-root indices."""
-    parts = _components(_base_diagram(ambient, base))
+    parts = _components(_adjacency(ambient, base), ambient._sq_lengths)
     return CartanType._of_table_parts(parts, ambient.rank - len(base))
 
 
-def _base_diagram(ambient: RootSystem, base: list[int]) -> _Neighbours:
-    """Neighbour lists of the base diagram at these positive-root indices.
+def _adjacency(ambient: RootSystem, base: list[int]) -> _Adjacency:
+    """Neighbour masks of the base diagram at these positive-root indices.
 
     Lemma: for base elements a, b of a closed symmetric subsystem S, a - b
     is no root (closure would put it in S, and a or b would be a sum of two
     positive members), so the b-string through a starts at a and <a,
     b-check> = -q is nonzero exactly when a + b is a root (Humphreys 9.4,
     10.1).  Edges are read off the sum masks, a pair differing by a root is
-    refused, and across an edge with |a| >= |b|, <a, b-check> = -|a|^2/|b|^2
-    and <b, a-check> = -1 (Humphreys 9.4): no root string is walked."""
-    _, _, sums, diffs = ambient._triple_masks
-    lengths = ambient._sq_lengths
+    refused, and the entries across an edge follow from the root lengths
+    (``_ENTRIES``): no root string is walked."""
+    _, sums, diffs, *_ = ambient._triple_masks
     base_mask = sum([1 << x for x in base])
-    nbrs: _Neighbours = {x: [] for x in base}
+    adj: _Adjacency = {}
     for x in base:
         if bad := diffs[x] & base_mask:
             pos, y = ambient.positive_roots, (bad & -bad).bit_length() - 1
             raise UnclassifiableSubsystemError(
                 f"base elements {pos[x]}, {pos[y]} pair positively or differ by a root"
             )
-        edges = sums[x] & base_mask & -(2 << x)  # each edge once, from its lower end
-        lx = lengths[x]
-        while edges:
-            y = (edges & -edges).bit_length() - 1
-            edges &= edges - 1
-            ly = lengths[y]  # lengths are 1 or r, so lx // ly is r, 1 or 0
-            p, q = -(lx // ly or 1), -(ly // lx or 1)
-            nbrs[x].append((y, p, q))
-            nbrs[y].append((x, q, p))
-    return nbrs
-
-
-def _components(nbrs: _Neighbours) -> list[SimpleType]:
-    """Simple type of each component of a base diagram; an isolated node is A1, unkeyed."""
-    left = set(nbrs)
-    parts: list[SimpleType] = []
-    while left:
-        nodes = [left.pop()]
-        if not nbrs[nodes[0]]:
-            parts.append(_A1)
-            continue
-        for i in nodes:  # breadth first: nodes grows while it is walked
-            for j, _, _ in nbrs[i]:
-                if j in left:
-                    left.remove(j)
-                    nodes.append(j)
-        parts.append(_component_type(nbrs, nodes))
-    return parts
+        adj[x] = sums[x] & base_mask
+    return adj

@@ -9,7 +9,7 @@ from quatforms import ToralElement, build_root_system, parse_type
 from quatforms.classify import _orbit_table
 from quatforms.involution import _pairing_values
 from quatforms.rootsys import _RANKS
-from quatforms.subsys import _closed_base
+from quatforms.subsys import _base_indices, _closed_base
 
 EXCEPTIONAL_LABELS = ["G2", "F4", "E6", "E7", "E8"]
 
@@ -49,8 +49,10 @@ def base_type_test_elements(rs):
 
 def l_and_v_bases(rs, gd, t):
     """The bases of l and v that analyze types, as positive-root indices."""
+    roles = rs._triple_masks[0]
     kept = [x for x, v in enumerate(_pairing_values(rs, t)) if v % t.denom == 0]
-    return _closed_base(rs, kept), _closed_base(rs, [x for x in kept if not gd.in_m[x]])
+    v = [x for x in kept if not gd.in_m[x]]
+    return tuple(_base_indices(rs, _closed_base(rs, sum(roles[x] for x in xs))) for xs in (kept, v))
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,9 @@ root system's sum triples.  The type oracle is the tree certificate
 replaced with a lookup among the Dynkin diagrams, and the pairwise type
 oracle is that lookup as it ran before it read the base diagram's edges
 off per-root sum masks, walking root strings between every pair of base
-elements.  The analysis oracle
+elements.  The tops-loop base and the list kernel are subsys._closed_base
+and complexform._analysis as they ran before the kernel read l and v off
+role sums and their bases off one carry.  The analysis oracle
 is complexform.analyze as it ran on sets of root tuples, through
 Subsystem and recognize, before it moved to positive-root indices; the
 classification oracle analyzes every candidate with it instead of one
@@ -450,13 +452,9 @@ def pairwise_base_type(ambient, base):
     masks: <a, b-check> from the string walk for each of the k(k - 1)/2
     pairs, the transposed walk where it is nonzero, a positive pairing
     refused, and each connected component looked up among the Dynkin
-    diagrams.
+    diagrams, with the root lengths the walked entries give.
     """
-    from quatforms.subsys import (
-        CartanType,
-        UnclassifiableSubsystemError,
-        _component_type,
-    )
+    from quatforms.subsys import CartanType, UnclassifiableSubsystemError, _components
 
     codes = [ambient._pos_codes[x] for x in base]
     k = len(codes)
@@ -474,19 +472,25 @@ def pairwise_base_type(ambient, base):
                 q = _string_pairing(roots, codes[j], a)
                 nbrs[i].append((j, p, q))
                 nbrs[j].append((i, q, p))
-    seen = [False] * k
+    # Squared lengths from the walked entries, |b_i|^2 / |b_j|^2 = a_ij / a_ji
+    # across each edge, short roots 1 in each component.
+    lengths = [0] * k
     components = []
     for start in range(k):
-        if seen[start]:
+        if lengths[start]:
             continue
-        seen[start] = True
+        lengths[start] = 6  # divisible by the ratios 2 and 3
         nodes = [start]
         for i in nodes:
-            for j, _, _ in nbrs[i]:
-                if not seen[j]:
-                    seen[j] = True
+            for j, p, q in nbrs[i]:
+                if not lengths[j]:
+                    lengths[j] = lengths[i] * q // p
                     nodes.append(j)
-        components.append(_component_type(nbrs, nodes))
+        short = min(lengths[i] for i in nodes)
+        for i in nodes:
+            lengths[i] //= short
+        adj = {i: sum(1 << j for j, _, _ in nbrs[i]) for i in nodes}
+        components += _components(adj, lengths)
     return CartanType(tuple(components), ambient.rank - k)
 
 
@@ -559,6 +563,77 @@ def enumerate_involutions(rs):
         ToralElement(coords, 2, "coweight")
         for coords in product((0, 1), repeat=rs.rank)
     ]
+
+
+@lru_cache(maxsize=None)
+def triple_masks_by_t(rs):
+    """(roles, tops): the sum-triple masks in the layout the package used
+    before it grouped the role bits by w.  roles[x] has bit t, T + t and
+    2T + t when x is the u, the v and the w of triple t (``_sum_triples``
+    order); tops[x] has bit t when x is the w."""
+    triples = rs._sum_triples
+    n_triples = len(triples)
+    roles = [0] * len(rs.positive_roots)
+    tops = roles.copy()
+    for t, (u, v, w) in enumerate(triples):
+        roles[u] |= 1 << t
+        roles[v] |= 1 << (n_triples + t)
+        roles[w] |= 1 << (2 * n_triples + t)
+        tops[w] |= 1 << t
+    return roles, tops
+
+
+def closed_base_by_tops(ambient, members):
+    """subsys._closed_base as it ran before the carry: the base, as indices,
+    of the symmetric root set whose positive members sit at the ascending
+    indices ``members``, found by a pass over the members with their tops
+    masks.  Raises the package's NotClosedError for the lowest bad triple."""
+    from quatforms.subsys import _missing
+
+    roles, tops = triple_masks_by_t(ambient)
+    n_triples = len(ambient._sum_triples)
+    present = sum([roles[x] for x in members])
+    full = (1 << n_triples) - 1
+    u_in = present & full
+    v_in = present >> n_triples & full
+    w_in = present >> 2 * n_triples
+    uv = u_in & v_in
+    bad = (uv | (u_in | v_in) & w_in) & ~(uv & w_in)
+    if bad:
+        pos = ambient.positive_roots
+        t = (bad & -bad).bit_length() - 1
+        u, v, w = ambient._sum_triples[t]
+        if not w_in >> t & 1:
+            raise _missing(pos[u], "+", pos[v])
+        raise _missing(pos[u] if u_in >> t & 1 else pos[v], "-", pos[w])
+    return [x for x in members if not uv & tops[x]]
+
+
+def analysis_by_lists(rs, gd, t):
+    """(l_type, v_type, circle_ok, s, step6) of t, s a list of indices: the
+    list kernel complexform._analysis ran before it read l and v off role
+    sums.  l keeps the positive roots whose pairing is 0 mod denom, in_m
+    splits it into s and v, both go through closed_base_by_tops, the v base
+    must be l's grade-0 base nodes plus theta when l holds it, and each base
+    is typed on its own by subsys._base_type."""
+    from quatforms.complexform import _step6_count
+    from quatforms.involution import _pairing_values
+    from quatforms.subsys import _base_type
+
+    vals = _pairing_values(rs, t)
+    d = t.denom
+    kept = [x for x, v in enumerate(vals) if v % d == 0]
+    in_m = gd.in_m
+    s = [x for x in kept if in_m[x]]
+    l_base = closed_base_by_tops(rs, kept)
+    v_base = closed_base_by_tops(rs, [x for x in kept if not in_m[x]])
+    circle_ok = vals[-1] % d != 0
+    theta = len(vals) - 1
+    v0 = [x for x in l_base if not in_m[x] and x != theta]
+    if v0 + [theta] * (not circle_ok) != v_base:
+        raise RuntimeError(f"v base at {t.describe()} is not l's grade-0 base plus theta")
+    l_type, v_type = _base_type(rs, l_base), _base_type(rs, v_base)
+    return l_type, v_type, circle_ok, s, _step6_count(rs, gd, s)
 
 
 def analyze_via_subsystems(rs, gd, t):

@@ -28,6 +28,7 @@ from quatforms.classify import (
     _orbit_table,
 )
 from quatforms.involution import centralizer_roots, pairing
+from quatforms.rootsys import SimpleType
 
 from conftest import EXCEPTIONAL_LABELS, GRADED_LABELS
 from oracles import brute_force_classify, enumerate_involutions, wk_orbits
@@ -511,18 +512,20 @@ def test_every_graded_type_has_a_bundled_baseline(label):
 @pytest.mark.parametrize(
     "change",
     [
-        (lambda l, v, c, s, k: (l, v, c, s[1:], k), "verdict not-complex-form, step6 count 0"),
+        (lambda l, v, c, s, k: (l, v, c, s & s - 1, k), "verdict not-complex-form, step6 count 0"),
         (lambda l, v, c, s, k: (l, v, c, s, 1), "verdict complex-form, step6 count 1"),
     ],
 )
 def test_screen_disagreement_raises(monkeypatch, change):
     """The screen/analysis cross-check on classify's kernel call is a raise,
-    so it survives python -O; a short s breaks the verdict."""
+    so it survives python -O; s short of a root breaks the verdict."""
     import quatforms.classify
-    from quatforms.complexform import _analysis
+    from quatforms.complexform import _mod2_analysis
 
     edit, message = change
-    monkeypatch.setattr(quatforms.classify, "_analysis", lambda *args: edit(*_analysis(*args)))
+    monkeypatch.setattr(
+        quatforms.classify, "_mod2_analysis", lambda *args: edit(*_mod2_analysis(*args))
+    )
     with pytest.raises(
         RuntimeError, match=f"^fast screen disagrees with full analysis at .*: {message}$"
     ):
@@ -541,3 +544,23 @@ def test_classify_reports_match_pinned_digests():
     for label in GRADED_LABELS:
         text = json.dumps(classify_equal_rank(_rs(label)).to_json(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == pinned[label], label
+
+
+def test_types_found_are_one_instance_per_type():
+    """The kernel's types are one instance per type, shared with the bundled
+    registry, so classify's dict hits and registry diff compare by identity;
+    types built by from_json and CartanType.of still compare and hash equal."""
+    e7, a1 = SimpleType("E", 7), SimpleType("A", 1)
+    table = CartanType._of_table_parts([a1, e7], 0)
+    assert CartanType._of_table_parts([e7, a1], 0) is table
+    for built in (CartanType.of("A1", "E7"), CartanType.from_json(table.to_json())):
+        assert built == table and table == built and hash(built) == hash(table)
+        assert CartanType._of_table_parts(built.components, built.torus_rank) is table
+        assert {built: 1}[table] == 1 and {table: 1}[built] == 1
+    assert CartanType._of_table_parts([e7, a1], 1) != table
+    for label in ("E8", "D9"):
+        rep = classify_equal_rank(_rs(label))
+        registry = {e.key: e for e in rep.expected_equal_rank}
+        for f in rep.found:
+            e = registry[f.key]
+            assert f.l_type is e.l_type and f.v_type is e.v_type, f.key

@@ -248,6 +248,32 @@ def test_analyze_nonpositive_denominator_exits_2(capsys, denom):
     assert err == "quatforms analyze: error: denominator must be a positive integer\n"
 
 
+@pytest.mark.parametrize("denom", ["\uff13", "1_0", "\u0663", "3.0", ""])
+def test_analyze_denom_takes_ascii_digits_only(capsys, denom):
+    """int() alone reads full-width and Arabic-Indic digits and underscores;
+    --denom, like --sym, takes ASCII digits only."""
+    assert main(["analyze", "G2", "--sym", "1,0", f"--denom={denom}"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"analyze: error: argument --denom: invalid int value: {denom!r}\n")
+
+
+def test_analyze_denom_past_the_digit_limit_exits_2(capsys):
+    """A --denom past int()'s digit limit gets a short message, without the
+    5,000 digits echoed."""
+    assert main(["analyze", "G2", "--sym", "1,0", "--denom", "1" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("analyze: error: argument --denom: invalid int value: too many digits\n")
+
+
+def test_type_label_past_the_digit_limit_exits_2(capsys):
+    """A rank past int()'s digit limit gets its own message, without the
+    label echoed, in place of the interpreter's text."""
+    assert main(["roots", "A" + "9" * 5000]) == 2
+    assert capsys.readouterr().err == (
+        "quatforms roots: error: cannot parse type label: the rank has too many digits\n"
+    )
+
+
 def test_analyze_reduces_large_and_negative_coordinates(capsys):
     code = main(["analyze", "E8", "--sym=-1,0,0,0,0,0,0,99999999999999999999"])
     captured = capsys.readouterr()
@@ -379,6 +405,51 @@ def test_type_label_fuzz(capsys):
             assert runs[0][0] in (0, 1, 2), (verb, label)
             assert "Traceback" not in runs[0][2], (verb, label)
             assert runs[0] == runs[1], (verb, label)
+    assert time.perf_counter() - start < 1.0
+
+
+def _fuzz_analyze_argv(n: int) -> list[list[str]]:
+    """Seeded analyze invocations: valid and malformed --sym, --denom and
+    --basis values, with coordinate counts off by one."""
+    rng = random.Random("analyze-argv-fuzz")
+    ranks = {"G2": 2, "A3": 3, "B3": 3, "C3": 3, "F4": 4}
+    good = ["0", "1", "2", "3", "-1", "+3", "7", "99999999999999999999"]
+    bad = [
+        "", " 1", "1 ", "x", "1.0", "1_0", "-", "\uff13", "\u0663", "\U0001d7e0",
+        "\u00b2", "1" * 5000,
+    ]
+    bases = ["coroot", "coweight", "Coroot", "", "coweight "]
+    argvs = []
+    while len(argvs) < n:
+        label = rng.choice(list(ranks))
+        count = max(1, ranks[label] + rng.choice([0, 0, 0, 0, -1, 1]))
+        fields = [rng.choice(good if rng.random() < 0.9 else bad) for _ in range(count)]
+        argv = ["analyze", label, "--sym=" + ",".join(fields)]  # '=' keeps '-1' a value
+        if rng.random() < 0.8:
+            argv.append("--denom=" + rng.choice(good if rng.random() < 0.8 else bad))
+        if rng.random() < 0.5:
+            argv.append("--basis=" + rng.choice(bases))
+        if rng.random() < 0.3:
+            argv.append("--json")
+        argvs.append(argv)
+    return argvs
+
+
+def test_analyze_option_fuzz(capsys):
+    """Any --sym, --denom or --basis value exits 0, 1 or 2 with the same
+    output on a repeat, and never with a traceback."""
+    start = time.perf_counter()
+    codes = set()
+    for argv in _fuzz_analyze_argv(200):
+        runs = []
+        for _ in range(2):
+            code = main(argv)
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0][0] in (0, 1, 2), argv
+        assert "Traceback" not in runs[0][2], argv
+        assert runs[0] == runs[1], argv
+        codes.add(runs[0][0])
+    assert codes == {0, 2}
     assert time.perf_counter() - start < 1.0
 
 

@@ -26,10 +26,11 @@ from quatforms import (
 from quatforms.classify import _orbit_table
 from quatforms.involution import _pairing_values, centralizer
 from quatforms.rootsys import grade
-from quatforms.subsys import Subsystem, _closed_base
+from quatforms.subsys import Subsystem, _base_indices, _bits, _closed_base
 
 from conftest import GRADED_LABELS, base_type_test_elements, l_and_v_bases
 from oracles import (
+    analysis_by_lists,
     analyze_via_subsystems,
     centralizer_roots_by_dot,
     disjoint_cover_ok,
@@ -98,7 +99,7 @@ def test_step6_count_matches_set_formula_on_real_gradings(label):
     pos = rs.positive_roots
     m = [x for x, flag in enumerate(gd.in_m) if flag]
     rng = random.Random(f"step6-{label}")
-    sets = [complexform._analysis(rs, gd, t)[3] for t in _kernel_elements(rs)]
+    sets = [_bits(complexform._analysis(rs, gd, t)[3]) for t in _kernel_elements(rs)]
     sets += [rng.sample(m, k) for k in (0, 1, len(m) // 2, len(m))]
     for s in sets:
         assert complexform._step6_count(rs, gd, s) == step6_rows(rs, gd, s) == 0
@@ -224,14 +225,16 @@ def _assert_slices_match_grade_oracle(monkeypatch, rs, gd, t):
     """analyze's s_pos, l and v root sets equal the dot-product and grade()
     filters.
 
-    l and v are read from the positive-root indices analyze hands to the
-    closure kernel, in that order.
+    l and v are read from the role sums analyze hands to the closure
+    kernel, in that order: their positive members are the spare bits of
+    the third region.
     """
     calls = []
 
-    def spy(ambient, members):
-        calls.append(members)
-        return _closed_base(ambient, members)
+    def spy(ambient, present):
+        _, _, _, width, fill, _, _ = ambient._triple_masks
+        calls.append(_base_indices(ambient, present >> 2 * width & ~fill))
+        return _closed_base(ambient, present)
 
     monkeypatch.setattr(complexform, "_closed_base", spy)
     a = analyze(rs, gd, t)
@@ -284,7 +287,7 @@ def test_kernel_matches_analyze_and_subsystem_oracle(label):
     pos = rs.positive_roots
     for t in _kernel_elements(rs):
         l_type, v_type, circle_ok, s, step6 = complexform._analysis(rs, gd, t)
-        got = (l_type, v_type, circle_ok, tuple(pos[x] for x in s), step6)
+        got = (l_type, v_type, circle_ok, tuple(pos[x] for x in _bits(s)), step6)
         for a in (analyze(rs, gd, t), analyze_via_subsystems(rs, gd, t)):
             assert got == (a.l_type, a.v_type, a.circle_ok, a.s_pos, a.step6_count), t.describe()
 
@@ -342,19 +345,66 @@ def test_v_base_is_l_grade0_base_plus_highest_root(label):
         assert derived == v_base, t.describe()
 
 
-def test_analyze_refuses_a_v_base_off_the_lemma(monkeypatch):
+# analyze with the closure kernel's second base (v's) short of its last node.
+_DROP_LAST_OF_V = """
+import quatforms.complexform as complexform
+from quatforms import ToralElement, analyze, build_root_system, parse_type
+from quatforms import quaternionic_decomposition
+from quatforms.subsys import _closed_base
+calls = []
+def drop_last_of_v(ambient, present):
+    calls.append(present)
+    base = _closed_base(ambient, present)
+    return base ^ 1 << base.bit_length() - 1 if len(calls) == 2 else base
+complexform._closed_base = drop_last_of_v
+rs = build_root_system(parse_type("E8"))
+try:
+    analyze(rs, quaternionic_decomposition(rs), ToralElement((0,) * 7 + (1,), 2, "coroot"))
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_analyze_refuses_a_v_base_off_the_lemma():
     """A v base that is not l's grade-0 base plus theta raises, also under -O."""
-    calls = []
+    src = str(Path(quatforms.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _DROP_LAST_OF_V], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("is not l's grade-0 base plus theta\n"), (flags, proc.stdout)
 
-    def drop_last_of_v(ambient, members):
-        calls.append(members)
-        base = _closed_base(ambient, members)
-        return base[:-1] if len(calls) == 2 else base
 
-    monkeypatch.setattr(complexform, "_closed_base", drop_last_of_v)
-    rs, gd = _setup("E8")
-    with pytest.raises(RuntimeError, match="grade-0 base plus theta"):
-        analyze(rs, gd, ToralElement((0,) * 7 + (1,), 2, "coroot"))
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_front_ends_match_the_list_kernel_on_every_candidate(label):
+    """On every mod-2 coweight candidate, the parity front-end (classify's),
+    the pairing front-end (analyze's) and the list kernel they replaced
+    give the same L, V, circle verdict, s and step6 count."""
+    rs, gd = _setup(label)
+    for coords in product((0, 1), repeat=rs.rank):
+        t = ToralElement(coords, 2, "coweight")
+        want = analysis_by_lists(rs, gd, t)
+        for got in (complexform._mod2_analysis(rs, gd, coords), complexform._analysis(rs, gd, t)):
+            assert (*got[:3], _bits(got[3]), got[4]) == want, t.describe()
+
+
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_kernel_matches_the_list_kernel_on_seeded_elements(label):
+    """Seeded d = 2-7 elements in both bases, and the d = 1 and
+    theta-in-l elements of ``base_type_test_elements``."""
+    rs, gd = _setup(label)
+    rng = random.Random(f"list-kernel-{label}")
+    elements = [t for t in base_type_test_elements(rs) if t.denom != 2]
+    for d in range(2, 8):
+        for basis in ("coroot", "coweight"):
+            coords = tuple(rng.randrange(d) for _ in range(rs.rank))
+            elements.append(ToralElement(coords, d, basis))
+    for t in elements:
+        got = complexform._analysis(rs, gd, t)
+        assert (*got[:3], _bits(got[3]), got[4]) == analysis_by_lists(rs, gd, t), t.describe()
 
 
 def test_analyze_builds_no_subsystem(monkeypatch):

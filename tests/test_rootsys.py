@@ -256,8 +256,9 @@ _T_COUNTS = {
 @pytest.mark.parametrize("label", SUPPORTED_LABELS)
 def test_sum_triple_table_lists_each_positive_sum_once(label):
     """The triples are exactly the pairs u < v of positive roots whose tuple
-    sum is a positive root, in (u, v) order; each role and top mask has
-    exactly the bits of the triples it names; _position inverts
+    sum is a positive root, in (u, v) order; each role mask has exactly the
+    bits of the triples it names, in the layout grouped by w with a spare
+    bit after each root's group, and its own spare bit; _position inverts
     positive_roots."""
     rs = build_root_system(parse_type(label))
     pos = rs.positive_roots
@@ -273,16 +274,21 @@ def test_sum_triple_table_lists_each_positive_sum_once(label):
     assert list(triples) == expected
     if label in _T_COUNTS:
         assert len(triples) == _T_COUNTS[label]
-    n_triples = len(triples)
-    role_bits = [set() for _ in pos]
-    sum_bits = [set() for _ in pos]
+    # The layout: each root's triples as w, in triple order, then its spare bit.
+    slots, spares, width = {}, {}, 0
+    for x in range(len(pos)):
+        for t in (t for t, triple in enumerate(triples) if triple[2] == x):
+            slots[t], width = width, width + 1
+        spares[x], width = width, width + 1
+    role_bits = [{2 * width + spares[x]} for x in range(len(pos))]
     for t, triple in enumerate(triples):
         for k, x in enumerate(triple):
-            role_bits[x].add(k * n_triples + t)
-        sum_bits[triple[2]].add(t)
-    roles, tops, _sums, _diffs = rs._triple_masks
+            role_bits[x].add(k * width + slots[t])
+    roles, _sums, _diffs, got_width, fill, got_slots, spare_roots = rs._triple_masks
+    assert (got_width, list(got_slots)) == (width, [slots[t] for t in range(len(triples))])
     assert [_bits(m) for m in roles] == role_bits
-    assert [_bits(m) for m in tops] == sum_bits
+    assert _bits(fill) == set(slots.values())
+    assert spare_roots == {p: x for x, p in spares.items()}
 
 
 def _bits(mask):
@@ -295,7 +301,7 @@ def test_sum_and_diff_masks_match_a_pass_over_all_pairs(label):
     x - y, in the root set, by tuple arithmetic over all ordered pairs."""
     rs = build_root_system(parse_type(label))
     pos, roots = rs.positive_roots, rs.root_set
-    _roles, _tops, sums, diffs = rs._triple_masks
+    _roles, sums, diffs, *_ = rs._triple_masks
     for x, a in enumerate(pos):
         assert _bits(sums[x]) == {
             y for y, b in enumerate(pos) if tuple(p + q for p, q in zip(a, b)) in roots

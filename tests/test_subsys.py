@@ -20,6 +20,7 @@ from quatforms import (
     parse_type,
     recognize,
 )
+from quatforms.involution import _pairing_values
 from quatforms.rootsys import (
     CLASSICAL_RANK_CAP,
     FAMILIES,
@@ -31,11 +32,14 @@ from quatforms.rootsys import (
 )
 from quatforms.subsys import (
     _EDGE_CLASSES,
-    _base_diagram,
+    _ENTRIES,
+    _adjacency,
+    _base_indices,
     _base_type,
-    _component_type,
+    _bits,
+    _closed_base,
+    _component_keys,
     _components,
-    _diagram_key,
     _diagram_types,
     normalize_components,
 )
@@ -48,12 +52,14 @@ from conftest import (
 )
 from oracles import (
     base_first_closure_base,
+    closed_base_by_tops,
     indecomposable_base,
     pairing_with_coroot,
     pairwise_base_type,
     pairwise_closure_base,
     regenerate_from_base,
     sorted_positive_roots,
+    squared_lengths,
     tree_certificate_type,
 )
 
@@ -345,6 +351,35 @@ def test_base_matches_oracle_on_higher_order_elements(label):
             _assert_base_matches_oracle(sub)
 
 
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_carry_base_matches_the_tops_loop(label):
+    """On the l and v of ``base_type_test_elements`` and on seeded sets of
+    positive roots, closed or not, the carry gives the base the pass over
+    the members' tops masks gives, or raises the same NotClosedError."""
+    rs = build_root_system(parse_type(label))
+    gd = quaternionic_decomposition(rs)
+    roles, n = rs._triple_masks[0], len(rs.positive_roots)
+    sets = []
+    for t in base_type_test_elements(rs):
+        kept = [x for x, v in enumerate(_pairing_values(rs, t)) if v % t.denom == 0]
+        sets += [kept, [x for x in kept if not gd.in_m[x]]]
+    rng = random.Random(f"carry-{label}")
+    sets += [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(200)]
+    closed = 0
+    for members in sets:
+        present = sum(roles[x] for x in members)
+        try:
+            want = closed_base_by_tops(rs, members)
+        except NotClosedError as exc:
+            with pytest.raises(NotClosedError) as got:
+                _closed_base(rs, present)
+            assert str(got.value) == str(exc), members
+        else:
+            assert _base_indices(rs, _closed_base(rs, present)) == want, members
+            closed += 1
+    assert 0 < closed < len(sets)
+
+
 def test_recognize_rejects_positive_base_pairing():
     """A base whose elements pair positively is refused by a raise, not an assert."""
     rs, sub = _full("A2")
@@ -383,7 +418,7 @@ def test_table_parts_type_matches_the_normalizing_constructor(label):
     gd = quaternionic_decomposition(rs)
     for t in base_type_test_elements(rs):
         for base in l_and_v_bases(rs, gd, t):
-            parts = _components(_base_diagram(rs, base))
+            parts = _components(_adjacency(rs, base), rs._sq_lengths)
             torus = rs.rank - len(base)
             expected = CartanType(tuple(parts), torus)
             got = CartanType._of_table_parts(parts, torus)
@@ -394,14 +429,17 @@ def test_table_parts_type_matches_the_normalizing_constructor(label):
 @pytest.mark.parametrize("label", GRADED_LABELS)
 def test_edge_pairings_from_lengths_match_string_walks(label):
     """Every l and v base diagram has an edge exactly where the pairing is
-    nonzero, and the entries across it are the root-string pairings."""
+    nonzero, and the entries the root lengths give across it are the
+    root-string pairings."""
     rs = build_root_system(parse_type(label))
     gd = quaternionic_decomposition(rs)
-    pos = rs.positive_roots
+    pos, lengths = rs.positive_roots, rs._sq_lengths
     for t in base_type_test_elements(rs):
         for base in l_and_v_bases(rs, gd, t):
-            nbrs = _base_diagram(rs, base)
-            found = {(x, y, p, q) for x in base for y, p, q in nbrs[x]}
+            adj = _adjacency(rs, base)
+            found = {
+                (x, y, *_ENTRIES[lengths[x], lengths[y]]) for x in base for y in _bits(adj[x])
+            }
             walked = set()
             for x in base:
                 for y in base:
@@ -474,19 +512,21 @@ def test_recognize_matches_tree_certificate_on_higher_order_elements(label):
             _assert_recognize_matches_certificate(sub)
 
 
-def _neighbours(n, edges):
-    """Neighbour lists (j, a_ij, a_ji) of a diagram given as (i, j, a_ij, a_ji)."""
-    nbrs = [[] for _ in range(n)]
-    for i, j, aij, aji in edges:
-        nbrs[i].append((j, aij, aji))
-        nbrs[j].append((i, aji, aij))
-    return nbrs
+def _diagram(lengths, edges):
+    """Adjacency masks and squared lengths of a diagram with edges (i, j)."""
+    adj = {i: 0 for i in range(len(lengths))}
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj, lengths
 
 
-def _cartan_neighbours(t):
+def _cartan_diagram(t):
+    """The Dynkin diagram of t, its squared lengths from the Fraction oracle."""
     a, n = _cartan_matrix(t), t.rank
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if a[i][j]]
-    return _neighbours(n, [(i, j, a[i][j], a[j][i]) for i, j in pairs])
+    frac = squared_lengths(a)
+    lengths = [int(x / min(frac)) for x in frac]
+    return _diagram(lengths, [(i, j) for i in range(n) for j in range(i + 1, n) if a[i][j]])
 
 
 @pytest.mark.parametrize("rank", range(1, CLASSICAL_RANK_CAP + 1))
@@ -502,10 +542,11 @@ def test_diagram_table_holds_every_type_of_its_rank(rank):
     table = _diagram_types(rank)
     by_key = {}
     for t in types:
-        nbrs = _cartan_neighbours(t)
-        found = _component_type(nbrs, range(rank))
+        adj, lengths = _cartan_diagram(t)
+        (found,) = _components(adj, lengths)
         assert CartanType((found,)) == CartanType((t,))
-        by_key.setdefault(_diagram_key(nbrs, range(rank)), []).append(t.label)
+        (key,) = _component_keys(adj, lengths)
+        by_key.setdefault(key, []).append(t.label)
     shared = sorted(labels for labels in by_key.values() if len(labels) > 1)
     assert shared == {2: [["B2", "C2"]], 3: [["A3", "D3"]]}.get(rank, [])
     assert set(table) == set(by_key)
@@ -517,56 +558,49 @@ def test_diagram_key_ints_count_each_neighbour_class(rank):
     each class (a_ij, a_ji, degree of j), so no count spills into the next."""
     from collections import Counter
 
-    classes = list(_EDGE_CLASSES)
+    classes = {v: (*_ENTRIES[li, lj], d) for (li, lj, d), v in _EDGE_CLASSES.items()}
     for family in FAMILIES:
         try:
-            nbrs = _cartan_neighbours(SimpleType(family, rank))
+            adj, lengths = _cartan_diagram(SimpleType(family, rank))
         except InvalidTypeError:
             continue
         expected = sorted(
-            sorted(Counter((aij, aji, len(nbrs[j])) for j, aij, aji in row).items())
-            for row in nbrs
+            sorted(
+                Counter(
+                    (*_ENTRIES[lengths[i], lengths[j]], adj[j].bit_count()) for j in _bits(adj[i])
+                ).items()
+            )
+            for i in adj
         )
-        n, ints = _diagram_key(nbrs, range(rank))
+        ((n, ints),) = _component_keys(adj, lengths)
         decoded = sorted(
-            sorted((c, x >> 2 * k & 3) for k, c in enumerate(classes) if x >> 2 * k & 3)
-            for x in ints
+            sorted((c, x // v & 3) for v, c in classes.items() if x // v & 3) for x in ints
         )
         assert (n, decoded) == (rank, expected), family
 
 
+# Lengths and edges; a diagram read off root lengths has no edge with
+# entries -2, -2, which no length ratio gives.
 _NOT_DYNKIN = {
-    "3-cycle": (3, [(0, 1, -1, -1), (1, 2, -1, -1), (0, 2, -1, -1)]),
+    "3-cycle": ([1, 1, 1], [(0, 1), (1, 2), (0, 2)]),
     "tree with arms 1, 3, 3": (
-        8,
-        [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -1), (3, 4, -1, -1),
-         (4, 5, -1, -1), (5, 6, -1, -1), (3, 7, -1, -1)],
+        [1] * 8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)]
     ),
-    "4-chain with two double edges": (
-        4, [(0, 1, -2, -1), (1, 2, -1, -1), (2, 3, -1, -2)]
-    ),
-    "interior double edge at rank 5": (
-        5, [(0, 1, -1, -1), (1, 2, -2, -1), (2, 3, -1, -1), (3, 4, -1, -1)]
-    ),
-    "triple edge at rank 3": (3, [(0, 1, -1, -1), (1, 2, -1, -3)]),
-    "edge with entries -1, -4": (2, [(0, 1, -1, -4)]),
-    "5-node star": (
-        5, [(0, 1, -1, -1), (0, 2, -1, -1), (0, 3, -1, -1), (0, 4, -1, -1)]
-    ),
-    "edge with entries -2, -2": (2, [(0, 1, -2, -2)]),
-    "branch node with a double edge": (
-        4, [(0, 1, -1, -1), (0, 2, -1, -1), (0, 3, -2, -1)]
-    ),
+    "4-chain with two double edges": ([2, 1, 1, 2], [(0, 1), (1, 2), (2, 3)]),
+    "interior double edge at rank 5": ([2, 2, 1, 1, 1], [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    "triple edge at rank 3": ([1, 1, 3], [(0, 1), (1, 2)]),
+    "edge with entries -1, -4": ([1, 4], [(0, 1)]),
+    "5-node star": ([1] * 5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+    "branch node with a double edge": ([2, 2, 2, 1], [(0, 1), (0, 2), (0, 3)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_NOT_DYNKIN))
 def test_component_type_rejects_non_dynkin_diagrams(name):
-    n, edges = _NOT_DYNKIN[name]
     with pytest.raises(
         UnclassifiableSubsystemError, match="base diagram matches no simple type"
     ):
-        _component_type(_neighbours(n, edges), list(range(n)))
+        _components(*_diagram(*_NOT_DYNKIN[name]))
 
 
 def test_base_pairings_nonpositive():
