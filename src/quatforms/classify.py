@@ -161,11 +161,23 @@ def _validate_entries(entries: list[GoldenEntry], source: str) -> list[GoldenEnt
     return entries
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, refusing a key it repeats (json keeps the last)."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise GoldenDataError(f"repeats the key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
 def load_golden(path: str) -> list[GoldenEntry]:
     """Load and validate a golden file (a JSON array of entries)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+    except GoldenDataError as exc:
+        raise GoldenDataError(f"golden file {path} {exc}") from None
     except OSError as exc:
         raise GoldenDataError(f"cannot read golden file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -174,6 +186,8 @@ def load_golden(path: str) -> list[GoldenEntry]:
         raise GoldenDataError(f"golden file {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise GoldenDataError(f"golden file {path} is nested too deeply") from exc
+    except ValueError:  # an int past the interpreter's limit on digits in an int string
+        raise GoldenDataError(f"golden file {path} holds an integer with too many digits") from None
     if not isinstance(data, list):
         raise GoldenDataError(f"golden file {path} must hold a JSON array")
     entries = [
@@ -572,9 +586,8 @@ def classify_equal_rank(
     expected = [e for e in golden if e.equal_rank]
     skipped = [e for e in golden if not e.equal_rank]
     if have_baseline:
-        found_keys = {f.key for f in found}
         expected_keys = {e.key for e in expected}
-        missing = [e for e in expected if e.key not in found_keys]
+        missing = [e for e in expected if e.key not in forms]
         unexpected = [f for f in found if f.key not in expected_keys]
     else:
         missing, unexpected = [], []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .involution import ToralElement, _pairing_values
 from .rootsys import GradedDecomposition, Root, RootSystem
-from .subsys import CartanType, _adjacency, _base_indices, _bits, _closed_base, _components
+from .subsys import CartanType, _base_mask, _bits, _closed_base, _type_of
 
 COMPLEX_FORM = "complex-form"
 NOT_COMPLEX_FORM = "not-complex-form"
@@ -91,8 +91,9 @@ def _kernel(rs: RootSystem, gd: GradedDecomposition, kept: int, present: int) ->
     roots, theta alone has g = 2, and g = 0 roots are orthogonal to theta,
     so v = (l ^ g^-1(0)) + {+-theta if theta in l}, and v's base is l's base
     nodes off m, plus theta when l holds it (Bourbaki, Lie VI 1.7): one mask
-    comparison checks it.  theta + x is no root for x > 0, so v is typed on
-    l's adjacency masks restricted to v's base.
+    comparison checks it, and turns l's base as root indices into v's with
+    no second pass over spare bits.  l and v are each typed from their own
+    base and members (``subsys._type_of``).
     """
     m, v_roles = gd._masks
     width = rs._triple_masks[3]
@@ -101,12 +102,9 @@ def _kernel(rs: RootSystem, gd: GradedDecomposition, kept: int, present: int) ->
     theta = present >> 3 * width - 1 << width - 1  # theta's spare bit if theta is in l
     if v_base != l_base & v_present >> 2 * width | theta:
         raise RuntimeError(f"v base of l = {kept:#x} is not l's grade-0 base plus theta")
-    adj, lengths = _adjacency(rs, _base_indices(rs, l_base)), rs._sq_lengths
-    v_adj = {x: a & ~m for x, a in adj.items() if not m >> x & 1}
-    if theta:
-        v_adj[len(lengths) - 1] = 0
-    l_type = CartanType._of_table_parts(_components(adj, lengths), rs.rank - len(adj))
-    v_type = CartanType._of_table_parts(_components(v_adj, lengths), rs.rank - len(v_adj))
+    l_nodes = _base_mask(rs, l_base)
+    v_nodes = l_nodes & ~m | bool(theta) << len(rs.positive_roots) - 1
+    l_type, v_type = _type_of(rs, l_nodes, kept), _type_of(rs, v_nodes, kept & ~m)
     s = kept & m
     step6 = _step6_count(rs, gd, _bits(s)) if gd._mirror else 0
     return l_type, v_type, not theta, s, step6

@@ -335,8 +335,9 @@ class RootSystem:
 
     @cached_property
     def _triple_masks(self) -> tuple:
-        """(roles, sums, diffs, width, fill, slots, spare_roots): the positive
-        sum triples as bitmasks, for ``subsys._closed_base``.
+        """(roles, sums, diffs, width, fill, slots, spare_roots, near): the
+        positive sum triples as bitmasks, for ``subsys._closed_base`` and
+        ``subsys._type_of``.
 
         A region of ``width`` bits holds the triples grouped by their w, in
         the order of w, with a spare bit after each root's group; slots[t] is
@@ -346,7 +347,7 @@ class RootSystem:
         and spare bit.  Each role bit belongs to one root, so a root set's role
         masks can be summed, and the sum holds the members on its third
         region's spare bits.  sums[x] (diffs[x]) has bit y when [x] + [y]
-        ([x] - [y]) is a root.
+        ([x] - [y]) is a root, and near[x] = sums[x] | diffs[x] | bit x.
         """
         triples, n = self._sum_triples, len(self.positive_roots)
         groups: list[list[int]] = [[] for _ in range(n)]
@@ -369,7 +370,8 @@ class RootSystem:
             diffs[v] |= 1 << w
             diffs[w] |= 1 << u | 1 << v
         fill = (1 << width) - 1 - sum([1 << p for p in spare_roots])
-        return tuple(roles), tuple(sums), tuple(diffs), width, fill, tuple(slots), spare_roots
+        near = tuple(s | d | 1 << x for x, (s, d) in enumerate(zip(sums, diffs)))
+        return tuple(roles), tuple(sums), tuple(diffs), width, fill, tuple(slots), spare_roots, near
 
     @cached_property
     def _parity_masks(self) -> tuple:
@@ -392,6 +394,11 @@ class RootSystem:
             rows.append(tuple(map(add, rows[p], a[i])))
             lengths.append(lengths[p] + d[i] * (1 + rows[p][i]))
         return tuple(lengths)
+
+    @cached_property
+    def _short_mask(self) -> int:
+        """Mask of the short positive roots, squared length 1 in ``_sq_lengths``."""
+        return sum([1 << x for x, d in enumerate(self._sq_lengths) if d == 1])
 
     @cached_property
     def simple_roots(self) -> tuple[Root, ...]:

@@ -9,11 +9,12 @@ and the base of a closed set is its positive members that are the sum of
 no triple with both summands present (Humphreys, Introduction to Lie
 Algebras and Representation Theory, 10.1).  With the triples held as
 bitmasks per root system, validation costs a few big-int operations on
-the sum of the members' role masks.  The base diagram's edges are read
-off per-root sum masks and its Cartan entries off root lengths, and each
-component is looked up by a packed key in a per-rank table of the Dynkin
-diagrams that build the root systems (``rootsys._cartan_matrix``).  Both
-steps are kernels on bitmasks (``_closed_base``, ``_components``):
+the sum of the members' role masks.  The base is split into components
+by flooding its nodes through per-root masks of the roots x +- y, and
+each component is typed by its rank, its root count and its short simple
+roots, looked up in a per-rank table built from Coxeter numbers and the
+Cartan matrices that build the root systems (``rootsys._cartan_matrix``).
+Both steps are kernels on bitmasks (``_closed_base``, ``_type_of``):
 ``Subsystem`` and ``recognize`` wrap them for root-tuple sets, and
 ``complexform.analyze`` calls them directly.
 """
@@ -22,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .rootsys import (
     _RANKS,
@@ -42,7 +42,7 @@ class NotClosedError(ValueError):
 
 
 class UnclassifiableSubsystemError(RuntimeError):
-    """Raised when a base pairs positively or its diagram is no Dynkin diagram.
+    """Raised when a base pairs positively or its components match no simple type.
 
     Unreachable for closed subsystems of a finite root system; raising it
     means an internal invariant was violated.
@@ -101,7 +101,7 @@ class Subsystem:
         object.__setattr__(self, "positive_roots", tuple(pos[x] for x in members))
         roles = ambient._triple_masks[0]
         base = _closed_base(ambient, sum([roles[x] for x in members]))
-        object.__setattr__(self, "base", tuple(pos[x] for x in _base_indices(ambient, base)))
+        object.__setattr__(self, "base", tuple(pos[x] for x in _bits(_base_mask(ambient, base))))
 
 
 def _closed_base(ambient: RootSystem, present: int) -> int:
@@ -113,7 +113,7 @@ def _closed_base(ambient: RootSystem, present: int) -> int:
     fill is all ones on each group, so uv + fill carries into root x's spare
     bit, 0 in both, exactly when x is such a sum; the base is the members'
     spare bits in w_in that no carry reaches (Humphreys 10.1)."""
-    _, _, _, width, fill, slots, _ = ambient._triple_masks
+    _, _, _, width, fill, slots, _, _ = ambient._triple_masks
     full = (1 << width) - 1
     u_in = present & full
     v_in = present >> width & full
@@ -142,10 +142,14 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _base_indices(ambient: RootSystem, base: int) -> list[int]:
-    """``_closed_base``'s spare bits as ascending positive-root indices."""
-    spare_roots = ambient._triple_masks[6]
-    return [spare_roots[p] for p in _bits(base)]
+def _base_mask(ambient: RootSystem, base: int) -> int:
+    """``_closed_base``'s spare bits as a mask of positive-root indices."""
+    spare_roots, nodes = ambient._triple_masks[6], 0
+    while base:
+        low = base & -base
+        nodes |= 1 << spare_roots[low.bit_length() - 1]
+        base ^= low
+    return nodes
 
 
 def base_of(sub: Subsystem) -> list[Root]:
@@ -203,7 +207,7 @@ class CartanType:
 
     @classmethod
     def _of_table_parts(cls, parts: list[SimpleType], torus_rank: int) -> "CartanType":
-        """The type of components from ``_diagram_types``, which holds no
+        """The type of components from ``_count_types``, which holds no
         low-rank alias: sorted, with no alias lookup, as its one instance."""
         return _interned(tuple(sorted(parts, key=_ORDER)), torus_rank)
 
@@ -272,126 +276,93 @@ def _interned(comps: tuple[SimpleType, ...], torus_rank: int) -> CartanType:
     return self
 
 
-_Adjacency = dict[int, int]  # each node's neighbours, as a mask of node bits
-# The entries (a_ij, a_ji) across an edge from the squared lengths of its
-# ends, whose ratio is 1, 2 or 3 (Humphreys 9.4), and the 15 classes (a_ij,
-# a_ji, degree of j) a Dynkin diagram's neighbours can show, keyed by the
-# two lengths and the degree.
-_ENTRIES = {
-    (a, b): (-(a // b or 1), -(b // a or 1)) for a, b in product((1, 2, 3), repeat=2) if a * b != 6
-}
-_CLASSES = sorted(set(_ENTRIES.values()))
-_EDGE_CLASSES = {
-    (*ab, d): 4 ** (3 * _CLASSES.index(e) + d - 1) for ab, e in _ENTRIES.items() for d in (1, 2, 3)
-}
-
-
-def _component_keys(adj: _Adjacency, lengths: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
-    """Isomorphism key of each connected component of a base diagram.
-
-    ``adj[i]`` masks the neighbours of node i, and ``lengths[i]`` is its
-    squared length, which fixes the entries a_ij = <b_i, b_j-check> across
-    its edges (``_ENTRIES``).  A key is the node count and the sorted ints
-    that pack each node's multiset of (a_ij, a_ji, degree of j), as the sum
-    of their ``_EDGE_CLASSES``.  A neighbour outside those classes raises
-    KeyError, so all degrees are at most 3, no count overflows its two
-    bits, and the ints hold the multisets.  A connected diagram shares a key
-    with a Dynkin diagram only if it is that diagram:
-
-    - The degrees fix the edge count, so a match with n nodes has n - 1
-      edges and is a tree.
-    - At a multiple edge the entries fix which end is a leaf and the
-      arrow: B_n (short leaf), C_n (long leaf) and F4 (no leaf) differ.
-    - At the branch point the neighbours' degrees fix how many arms have
-      length 1 (D_n two, E_n one); one step out, the neighbours of the
-      degree-2 nodes fix which arm has length 2, so E8 (arms 1, 2, 4)
-      differs from the tree with arms 1, 3, 3.
-    """
-    keys, left = [], 0
-    for i in adj:
-        left |= 1 << i
-    while left:
-        comp = grow = left & -left
-        ints = []
-        while grow:  # flood the component from its lowest node, packing each node
-            low = grow & -grow
-            grow ^= low
-            i = low.bit_length() - 1
-            nbrs, li, packed = adj[i], lengths[i], 0
-            grow |= nbrs & ~comp
-            comp |= nbrs
-            while nbrs:
-                low = nbrs & -nbrs
-                nbrs ^= low
-                j = low.bit_length() - 1
-                packed += _EDGE_CLASSES[li, lengths[j], adj[j].bit_count()]
-            ints.append(packed)
-        left ^= comp
-        ints.sort()
-        keys.append((len(ints), tuple(ints)))
-    return keys
+# Coxeter numbers h: a simple type of rank r has r * h / 2 positive roots,
+# and h is r + 1 for A, 2r for B and C, 2r - 2 for D, and for the others
+# (Bourbaki, Lie VI, Plates I-IX):
+_EXCEPTIONAL_COXETER = {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}
 
 
 @lru_cache(maxsize=None)
-def _diagram_types(rank: int) -> dict[tuple, SimpleType]:
-    """The simple types of one rank, keyed by their Dynkin diagrams.
+def _count_types(rank: int) -> dict[tuple[int, int], SimpleType]:
+    """The simple types of one rank, keyed by (N, s): N = rank * h / 2
+    positive roots, h the Coxeter number, and s the short simple roots of
+    ``_simple_lengths`` mod rank (0 when all or none are short).
 
-    Built once per rank from the Cartan matrices that build the root
-    systems.  A3/D3 and B2/C2 share a key; the first in family order is
-    kept, and both normalize to the same ``CartanType``.
+    A, D and E of one rank differ in N; B_r and C_r share N = r^2 but have
+    1 and r - 1 short simple roots; F4 and G2 are alone at their (rank, N).
+    A3/D3 and B2/C2 share a key; the first in family order is kept, and
+    both normalize to the same ``CartanType``.
     """
-    table: dict[tuple, SimpleType] = {}
+    table: dict[tuple[int, int], SimpleType] = {}
     for t in (SimpleType(family, rank) for family, ranks in _RANKS.items() if rank in ranks):
-        a = _cartan_matrix(t)
-        adj = {i: sum([1 << j for j in range(rank) if j != i and a[i][j]]) for i in range(rank)}
-        table.setdefault(_component_keys(adj, _simple_lengths(a))[0], t)
+        h = _EXCEPTIONAL_COXETER.get(t.label) or {"A": rank + 1, "D": 2 * rank - 2}.get(
+            t.family, 2 * rank
+        )
+        short = _simple_lengths(_cartan_matrix(t)).count(1)
+        table.setdefault((rank * h // 2, short % rank), t)
     return table
 
 
-def _components(adj: _Adjacency, lengths: Sequence[int]) -> list[SimpleType]:
-    """The simple type of each component of a base diagram, by table lookup."""
-    try:
-        return [_diagram_types(key[0])[key] for key in _component_keys(adj, lengths)]
-    except KeyError:
-        raise UnclassifiableSubsystemError("base diagram matches no simple type") from None
-
-
 def recognize(sub: Subsystem) -> CartanType:
-    """Cartan type of a closed subsystem, torus factors included.
-
-    The base diagram is split into connected components and each is looked
-    up among the Dynkin diagrams; the torus rank is the ambient rank minus
-    the base size (correct for the full-rank subsystems this package
-    produces).
-    """
+    """Cartan type of a closed subsystem, torus factors included: each base
+    component by its rank, root count and short simple roots (``_type_of``),
+    and the torus rank as the ambient rank minus the base size (correct for
+    the full-rank subsystems this package produces)."""
     position, codes = sub.ambient._position, sub.ambient._codes
-    return _base_type(sub.ambient, [position[codes[r]] for r in sub.base])
+    base = sum([1 << position[codes[r]] for r in sub.base])
+    members = sum([1 << position[codes[r]] for r in sub.positive_roots])
+    return _type_of(sub.ambient, base, members)
 
 
-def _base_type(ambient: RootSystem, base: list[int]) -> CartanType:
-    """Cartan type of the subsystem whose base is at these positive-root indices."""
-    parts = _components(_adjacency(ambient, base), ambient._sq_lengths)
-    return CartanType._of_table_parts(parts, ambient.rank - len(base))
+def _type_of(ambient: RootSystem, base: int, members: int) -> CartanType:
+    """Cartan type of the closed subsystem whose base and positive members
+    are these masks of positive-root indices.
 
+    The base nodes are flooded into components through ``near`` (x +- y a
+    root, or x = y; ``RootSystem._triple_masks``), refusing two nodes that
+    differ by a root.  A component's roots are the members near one of its
+    nodes, and it is typed by (k, N, s), its node count, root count and
+    short nodes mod k, in ``_count_types(k)``.
 
-def _adjacency(ambient: RootSystem, base: list[int]) -> _Adjacency:
-    """Neighbour masks of the base diagram at these positive-root indices.
-
-    Lemma: for base elements a, b of a closed symmetric subsystem S, a - b
-    is no root (closure would put it in S, and a or b would be a sum of two
-    positive members), so the b-string through a starts at a and <a,
-    b-check> = -q is nonzero exactly when a + b is a root (Humphreys 9.4,
-    10.1).  Edges are read off the sum masks, a pair differing by a root is
-    refused, and the entries across an edge follow from the root lengths
-    (``_ENTRIES``): no root string is walked."""
-    _, sums, diffs, *_ = ambient._triple_masks
-    base_mask = sum([1 << x for x in base])
-    adj: _Adjacency = {}
-    for x in base:
-        if bad := diffs[x] & base_mask:
-            pos, y = ambient.positive_roots, (bad & -bad).bit_length() - 1
-            raise UnclassifiableSubsystemError(
-                f"base elements {pos[x]}, {pos[y]} pair positively or differ by a root"
-            )
-        adj[x] = sums[x] & base_mask
-    return adj
+    Lemma: a member y lies in base node b's component exactly when y +- b is
+    a root, or y = b, for some b in that component.  y pairs nonzero with
+    some base node of its own component, which spans it, so y + b or y - b
+    is a root (Humphreys 9.4).  Across components, x +- y is never a root:
+    closure would put it in the subsystem, and [C, C'] = 0.  Two base nodes
+    never differ by a root (closure would make one a sum), so they are
+    joined exactly when their sum is a root.  Components whose roots
+    overlap, members no component covers and a key that names no type
+    raise UnclassifiableSubsystemError: none occurs for a closed subsystem
+    and its base.
+    """
+    _, _, diffs, *_, near = ambient._triple_masks
+    shorts, parts, covered, left = ambient._short_mask, [], 0, base
+    while left:
+        comp = grow = left & -left
+        roots = 0
+        while grow:  # flood the component from its lowest node
+            low = grow & -grow
+            grow ^= low
+            x = low.bit_length() - 1
+            if bad := diffs[x] & base:
+                pos, y = ambient.positive_roots, (bad & -bad).bit_length() - 1
+                raise UnclassifiableSubsystemError(
+                    f"base elements {pos[x]}, {pos[y]} pair positively or differ by a root"
+                )
+            nx = near[x]
+            roots |= nx
+            nx &= base
+            grow |= nx & ~comp
+            comp |= nx
+        left ^= comp
+        roots &= members
+        if roots & covered:
+            raise UnclassifiableSubsystemError("base components share a root")
+        covered |= roots
+        k = comp.bit_count()
+        parts.append(_count_types(k).get((roots.bit_count(), (comp & shorts).bit_count() % k)))
+    if covered != members:
+        raise UnclassifiableSubsystemError("base components do not cover the subsystem")
+    if None in parts:
+        raise UnclassifiableSubsystemError("base component matches no simple type")
+    return CartanType._of_table_parts(parts, ambient.rank - base.bit_count())

@@ -9,7 +9,7 @@ from quatforms import ToralElement, build_root_system, parse_type
 from quatforms.classify import _orbit_table
 from quatforms.involution import _pairing_values
 from quatforms.rootsys import _RANKS
-from quatforms.subsys import _base_indices, _closed_base
+from quatforms.subsys import _base_mask, _bits, _closed_base
 
 EXCEPTIONAL_LABELS = ["G2", "F4", "E6", "E7", "E8"]
 
@@ -47,12 +47,26 @@ def base_type_test_elements(rs):
     return elements
 
 
-def l_and_v_bases(rs, gd, t):
-    """The bases of l and v that analyze types, as positive-root indices."""
+def l_and_v(rs, gd, t):
+    """(base, members) of l and of v, the sets analyze types: the base as a
+    list of positive-root indices, the positive members as a mask of them."""
     roles = rs._triple_masks[0]
     kept = [x for x, v in enumerate(_pairing_values(rs, t)) if v % t.denom == 0]
     v = [x for x in kept if not gd.in_m[x]]
-    return tuple(_base_indices(rs, _closed_base(rs, sum(roles[x] for x in xs))) for xs in (kept, v))
+    return tuple(
+        (_bits(_base_mask(rs, _closed_base(rs, sum(roles[x] for x in xs)))), mask_of(xs))
+        for xs in (kept, v)
+    )
+
+
+def mask_of(xs):
+    """The mask with bit x for each x in xs."""
+    return sum(1 << x for x in xs)
+
+
+def l_and_v_bases(rs, gd, t):
+    """The bases of l and v that analyze types, as positive-root indices."""
+    return tuple(base for base, _members in l_and_v(rs, gd, t))
 
 
 @pytest.fixture(scope="session")

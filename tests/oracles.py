@@ -12,12 +12,16 @@ oracles are the pass over all pairs of positive members and the walk
 through the base that Subsystem replaced, in turn, with bitmasks over the
 root system's sum triples.  The type oracle is the tree certificate
 (edge multiplicities, branch arms, arrow direction) that recognize
-replaced with a lookup among the Dynkin diagrams, and the pairwise type
-oracle is that lookup as it ran before it read the base diagram's edges
-off per-root sum masks, walking root strings between every pair of base
-elements.  The tops-loop base and the list kernel are subsys._closed_base
-and complexform._analysis as they ran before the kernel read l and v off
-role sums and their bases off one carry.  The analysis oracle
+replaced with a lookup among the Dynkin diagrams.  The diagram-key type
+oracle is that lookup as recognize and the analysis kernel ran it before
+they typed each component by its rank, root count and short simple
+roots: edges off per-root sum masks, Cartan entries off root lengths and
+one packed isomorphism key per component.  The pairwise type oracle is
+the same lookup as it ran before it read the edges off sum masks, walking
+root strings between every pair of base elements.  The tops-loop base
+and the list kernel are subsys._closed_base and complexform._analysis as
+they ran before the kernel read l and v off role sums and their bases
+off one carry.  The analysis oracle
 is complexform.analyze as it ran on sets of root tuples, through
 Subsystem and recognize, before it moved to positive-root indices; the
 classification oracle analyzes every candidate with it instead of one
@@ -444,17 +448,137 @@ def tree_certificate_type(sub):
     return CartanType(tuple(components), rs.rank - k)
 
 
+# The entries (a_ij, a_ji) across an edge from the squared lengths of its
+# ends, whose ratio is 1, 2 or 3 (Humphreys 9.4), and the 15 classes (a_ij,
+# a_ji, degree of j) a Dynkin diagram's neighbours can show, keyed by the
+# two lengths and the degree.
+ENTRIES = {
+    (a, b): (-(a // b or 1), -(b // a or 1)) for a, b in product((1, 2, 3), repeat=2) if a * b != 6
+}
+_CLASSES = sorted(set(ENTRIES.values()))
+EDGE_CLASSES = {
+    (*ab, d): 4 ** (3 * _CLASSES.index(e) + d - 1) for ab, e in ENTRIES.items() for d in (1, 2, 3)
+}
+
+
+def component_keys(adj, lengths):
+    """Isomorphism key of each connected component of a base diagram.
+
+    ``adj[i]`` masks the neighbours of node i, and ``lengths[i]`` is its
+    squared length, which fixes the entries a_ij = <b_i, b_j-check> across
+    its edges (``ENTRIES``).  A key is the node count and the sorted ints
+    that pack each node's multiset of (a_ij, a_ji, degree of j), as the sum
+    of their ``EDGE_CLASSES``.  A neighbour outside those classes raises
+    KeyError, so all degrees are at most 3, no count overflows its two
+    bits, and the ints hold the multisets.  A connected diagram shares a key
+    with a Dynkin diagram only if it is that diagram:
+
+    - The degrees fix the edge count, so a match with n nodes has n - 1
+      edges and is a tree.
+    - At a multiple edge the entries fix which end is a leaf and the
+      arrow: B_n (short leaf), C_n (long leaf) and F4 (no leaf) differ.
+    - At the branch point the neighbours' degrees fix how many arms have
+      length 1 (D_n two, E_n one); one step out, the neighbours of the
+      degree-2 nodes fix which arm has length 2, so E8 (arms 1, 2, 4)
+      differs from the tree with arms 1, 3, 3.
+    """
+    keys, left = [], 0
+    for i in adj:
+        left |= 1 << i
+    while left:
+        comp = grow = left & -left
+        ints = []
+        while grow:  # flood the component from its lowest node, packing each node
+            low = grow & -grow
+            grow ^= low
+            i = low.bit_length() - 1
+            nbrs, li, packed = adj[i], lengths[i], 0
+            grow |= nbrs & ~comp
+            comp |= nbrs
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                j = low.bit_length() - 1
+                packed += EDGE_CLASSES[li, lengths[j], adj[j].bit_count()]
+            ints.append(packed)
+        left ^= comp
+        ints.sort()
+        keys.append((len(ints), tuple(ints)))
+    return keys
+
+
+@lru_cache(maxsize=None)
+def diagram_types(rank):
+    """The simple types of one rank, keyed by their Dynkin diagrams.
+
+    Built once per rank from the Cartan matrices that build the root
+    systems.  A3/D3 and B2/C2 share a key; the first in family order is
+    kept, and both normalize to the same ``CartanType``.
+    """
+    from quatforms.rootsys import _RANKS, SimpleType, _cartan_matrix, _simple_lengths
+
+    table = {}
+    for t in (SimpleType(family, rank) for family, ranks in _RANKS.items() if rank in ranks):
+        a = _cartan_matrix(t)
+        adj = {i: sum([1 << j for j in range(rank) if j != i and a[i][j]]) for i in range(rank)}
+        table.setdefault(component_keys(adj, _simple_lengths(a))[0], t)
+    return table
+
+
+def diagram_components(adj, lengths):
+    """The simple type of each component of a base diagram, by table lookup;
+    a diagram that is no Dynkin diagram raises UnclassifiableSubsystemError."""
+    from quatforms.subsys import UnclassifiableSubsystemError
+
+    try:
+        return [diagram_types(key[0])[key] for key in component_keys(adj, lengths)]
+    except KeyError:
+        raise UnclassifiableSubsystemError("base diagram matches no simple type") from None
+
+
+def base_adjacency(ambient, base):
+    """Neighbour masks of the base diagram at these positive-root indices.
+
+    Two base elements of a closed subsystem never differ by a root, so they
+    are joined exactly when their sum is a root (Humphreys 9.4, 10.1):
+    edges are read off the sum masks, and a pair differing by a root is
+    refused."""
+    from quatforms.subsys import UnclassifiableSubsystemError
+
+    _, sums, diffs, *_ = ambient._triple_masks
+    base_mask = sum([1 << x for x in base])
+    adj = {}
+    for x in base:
+        if bad := diffs[x] & base_mask:
+            pos, y = ambient.positive_roots, (bad & -bad).bit_length() - 1
+            raise UnclassifiableSubsystemError(
+                f"base elements {pos[x]}, {pos[y]} pair positively or differ by a root"
+            )
+        adj[x] = sums[x] & base_mask
+    return adj
+
+
+def diagram_base_type(ambient, base):
+    """Cartan type of the subsystem whose base is at these positive-root
+    indices, by diagram keys: the typing recognize and the analysis kernel
+    ran before they counted roots."""
+    from quatforms.subsys import CartanType
+
+    parts = diagram_components(base_adjacency(ambient, base), ambient._sq_lengths)
+    return CartanType(tuple(parts), ambient.rank - len(base))
+
+
 def pairwise_base_type(ambient, base):
     """Cartan type of the subsystem whose base sits at these indices of
     ``ambient.positive_roots``, by root-string walks over all base pairs.
 
-    The kernel subsys._base_type ran before it read the edges off the sum
-    masks: <a, b-check> from the string walk for each of the k(k - 1)/2
+    The diagram-key typing (``diagram_base_type``) as it ran before it read
+    the edges off the sum masks: <a, b-check> from the string walk for each of the k(k - 1)/2
     pairs, the transposed walk where it is nonzero, a positive pairing
     refused, and each connected component looked up among the Dynkin
     diagrams, with the root lengths the walked entries give.
     """
-    from quatforms.subsys import CartanType, UnclassifiableSubsystemError, _components
+    from quatforms.subsys import CartanType, UnclassifiableSubsystemError
 
     codes = [ambient._pos_codes[x] for x in base]
     k = len(codes)
@@ -490,7 +614,7 @@ def pairwise_base_type(ambient, base):
         for i in nodes:
             lengths[i] //= short
         adj = {i: sum(1 << j for j, _, _ in nbrs[i]) for i in nodes}
-        components += _components(adj, lengths)
+        components += diagram_components(adj, lengths)
     return CartanType(tuple(components), ambient.rank - k)
 
 
@@ -615,10 +739,9 @@ def analysis_by_lists(rs, gd, t):
     sums.  l keeps the positive roots whose pairing is 0 mod denom, in_m
     splits it into s and v, both go through closed_base_by_tops, the v base
     must be l's grade-0 base nodes plus theta when l holds it, and each base
-    is typed on its own by subsys._base_type."""
+    is typed on its own by diagram keys (``diagram_base_type``)."""
     from quatforms.complexform import _step6_count
     from quatforms.involution import _pairing_values
-    from quatforms.subsys import _base_type
 
     vals = _pairing_values(rs, t)
     d = t.denom
@@ -632,7 +755,7 @@ def analysis_by_lists(rs, gd, t):
     v0 = [x for x in l_base if not in_m[x] and x != theta]
     if v0 + [theta] * (not circle_ok) != v_base:
         raise RuntimeError(f"v base at {t.describe()} is not l's grade-0 base plus theta")
-    l_type, v_type = _base_type(rs, l_base), _base_type(rs, v_base)
+    l_type, v_type = diagram_base_type(rs, l_base), diagram_base_type(rs, v_base)
     return l_type, v_type, circle_ok, s, _step6_count(rs, gd, s)
 
 

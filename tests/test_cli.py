@@ -213,10 +213,11 @@ def _bad_rank_golden(where, value):
         _bad_rank_golden("ambient", "Z9"),
         _bad_rank_golden("family", "AB"),
         b'[{"label": "\xff"}]',
+        _bad_rank_golden("rank", "9" * 5000),
     ],
     ids=[
         "deep-nesting", "rank-overflow", "rank-bool", "torus-rank-float",
-        "unknown-ambient", "unknown-family", "not-utf8",
+        "unknown-ambient", "unknown-family", "not-utf8", "rank-past-digit-limit",
     ],
 )
 def test_classify_malformed_golden_exits_2(tmp_path, capsys, text):
@@ -235,6 +236,41 @@ def test_classify_malformed_golden_exits_2(tmp_path, capsys, text):
         assert f"{path}, entry 0" in err
     if '"AB"' in str(text):
         assert f"{path}, entry 0: bad Cartan type: unknown family 'AB'" in err
+    if "9" * 5000 in str(text):
+        assert err.endswith(f"golden file {path} holds an integer with too many digits\n")
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"label": "4"', '"label": "4", "label": "4x"'),
+        ('"l_type": {', '"l_type": {"torus_rank": 1}, "l_type": {'),
+        ('"torus_rank": 2', '"torus_rank": 2, "torus_rank": 0'),
+    ],
+    ids=["label", "l_type", "torus_rank-in-a-cartan-type"],
+)
+def test_classify_golden_repeated_key_exits_2(tmp_path, capsys, old, new):
+    """json keeps a repeated key's last value; a golden file may not repeat one."""
+    text = _bad_rank_golden("rank", "1")
+    assert text.count(old) == 1
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    code = main(["classify", "G2", "--golden", str(path)])
+    key = new.split('"')[1]
+    assert (code, capsys.readouterr().err) == (
+        2, f"quatforms classify: error: golden file {path} repeats the key {key!r} in one object\n"
+    )
+
+
+def test_load_golden_reads_the_bundled_registry_file():
+    """The bundled registry file, read as a golden file with repeated keys
+    refused, gives the bundled entries."""
+    from quatforms.classify import _bundled_exceptional, load_golden
+
+    with resources.as_file(
+        resources.files("quatforms") / "data" / "registry_exceptional.json"
+    ) as path:
+        assert tuple(load_golden(str(path))) == _bundled_exceptional()
 
 
 _E8_SYM = "0,0,0,0,0,0,0,1"
@@ -406,6 +442,75 @@ def test_type_label_fuzz(capsys):
             assert "Traceback" not in runs[0][2], (verb, label)
             assert runs[0] == runs[1], (verb, label)
     assert time.perf_counter() - start < 1.0
+
+
+def _fuzz_golden_files(tmp_path, n: int) -> list[Path]:
+    """Seeded golden files for G2, from its bundled entries: entries left
+    out or with another V, truncated and deeply nested JSON, non-UTF-8
+    bytes, a BOM, fields of the wrong type, repeated keys and integers at
+    and past the digit limit, plus a directory."""
+    from quatforms.classify import golden_for_type
+    from quatforms.rootsys import SimpleType
+
+    rng = random.Random("golden-file-fuzz")
+    entries = [e.to_json() for e in golden_for_type(SimpleType("G", 2))[0]]
+    text = json.dumps(entries).encode()
+    wrong = [None, True, 0, -1, 2.5, "", "G2", [], {}, [{"family": "A"}], {"rank": 1}]
+    other_v = [b'"components": [{"family": "%s", "rank": 2}]' % f for f in (b"A", b"G")]
+
+    def wrong_field():
+        objs = [dict(e) for e in entries]
+        obj = rng.choice(objs)
+        key = rng.choice([*obj, "extra"])
+        if isinstance(obj.get(key), dict) and rng.random() < 0.5:
+            obj[key] = {**obj[key], rng.choice([*obj[key], "extra"]): rng.choice(wrong)}
+        else:
+            obj[key] = rng.choice(wrong)
+        return json.dumps(objs).encode()
+
+    def repeated_key():
+        at = rng.choice([i for i, c in enumerate(text) if c == ord(",")])
+        key = rng.choice([b'"label": "x"', b'"rank": 1', b'"l_type": {}', b'"torus_rank": 0'])
+        return text[: at + 1] + key + b"," + text[at + 1 :]
+
+    makers = [
+        lambda: json.dumps(rng.sample(entries, rng.randrange(len(entries)))).encode(),
+        lambda: text.replace(b'"components": []', rng.choice(other_v), 1),
+        lambda: text[: rng.randrange(len(text))],
+        lambda: b"[" * rng.choice([10, 1000, 100000]) + b"]" * rng.randrange(3),
+        lambda: text.replace(b"G2", rng.choice([b"G\xff", b"\xc3(", b"\x80"]), 1),
+        lambda: b"\xef\xbb\xbf" + text,
+        wrong_field,
+        repeated_key,
+        lambda: text.replace(b'"table_rank": 2', b'"table_rank": ' + b"9" * 5000, 1),
+        lambda: text.replace(b'"rank": 1', b'"rank": ' + b"7" * rng.choice([4300, 4301]), 1),
+    ]
+    paths = [tmp_path]
+    for i in range(n):
+        path = tmp_path / f"golden-{i}.json"
+        path.write_bytes(makers[i % len(makers)]())
+        paths.append(path)
+    return paths
+
+
+def test_golden_file_fuzz(tmp_path, capsys):
+    """Any --golden file exits 0, 1 or 2 with the same output on a repeat,
+    never with a traceback, and names the file when it exits 2."""
+    start = time.perf_counter()
+    codes = set()
+    for path in _fuzz_golden_files(tmp_path, 80):
+        runs = []
+        for _ in range(2):
+            code = main(["classify", "G2", "--golden", str(path)])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0][0] in (0, 1, 2), path
+        assert "Traceback" not in runs[0][2], path
+        assert runs[0] == runs[1], path
+        if runs[0][0] == 2:
+            assert str(path) in runs[0][2], (path, runs[0][2])
+        codes.add(runs[0][0])
+    assert codes == {0, 1, 2}
+    assert time.perf_counter() - start < 2.0
 
 
 def _fuzz_analyze_argv(n: int) -> list[list[str]]:

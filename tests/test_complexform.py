@@ -26,7 +26,7 @@ from quatforms import (
 from quatforms.classify import _orbit_table
 from quatforms.involution import _pairing_values, centralizer
 from quatforms.rootsys import grade
-from quatforms.subsys import Subsystem, _base_indices, _bits, _closed_base
+from quatforms.subsys import Subsystem, _base_mask, _bits, _closed_base
 
 from conftest import GRADED_LABELS, base_type_test_elements, l_and_v_bases
 from oracles import (
@@ -232,8 +232,8 @@ def _assert_slices_match_grade_oracle(monkeypatch, rs, gd, t):
     calls = []
 
     def spy(ambient, present):
-        _, _, _, width, fill, _, _ = ambient._triple_masks
-        calls.append(_base_indices(ambient, present >> 2 * width & ~fill))
+        _, _, _, width, fill, _, _, _ = ambient._triple_masks
+        calls.append(_bits(_base_mask(ambient, present >> 2 * width & ~fill)))
         return _closed_base(ambient, present)
 
     monkeypatch.setattr(complexform, "_closed_base", spy)

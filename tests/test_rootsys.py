@@ -284,7 +284,7 @@ def test_sum_triple_table_lists_each_positive_sum_once(label):
     for t, triple in enumerate(triples):
         for k, x in enumerate(triple):
             role_bits[x].add(k * width + slots[t])
-    roles, _sums, _diffs, got_width, fill, got_slots, spare_roots = rs._triple_masks
+    roles, _sums, _diffs, got_width, fill, got_slots, spare_roots, _near = rs._triple_masks
     assert (got_width, list(got_slots)) == (width, [slots[t] for t in range(len(triples))])
     assert [_bits(m) for m in roles] == role_bits
     assert _bits(fill) == set(slots.values())
@@ -298,11 +298,13 @@ def _bits(mask):
 @pytest.mark.parametrize("label", GRADED_LABELS)
 def test_sum_and_diff_masks_match_a_pass_over_all_pairs(label):
     """sums[x] and diffs[x] hold exactly the positive y with x + y, resp.
-    x - y, in the root set, by tuple arithmetic over all ordered pairs."""
+    x - y, in the root set, by tuple arithmetic over all ordered pairs, and
+    near[x] holds both and x."""
     rs = build_root_system(parse_type(label))
     pos, roots = rs.positive_roots, rs.root_set
-    _roles, sums, diffs, *_ = rs._triple_masks
+    _roles, sums, diffs, *_, near = rs._triple_masks
     for x, a in enumerate(pos):
+        assert near[x] == sums[x] | diffs[x] | 1 << x
         assert _bits(sums[x]) == {
             y for y, b in enumerate(pos) if tuple(p + q for p, q in zip(a, b)) in roots
         }

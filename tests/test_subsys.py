@@ -31,16 +31,11 @@ from quatforms.rootsys import (
     quaternionic_decomposition,
 )
 from quatforms.subsys import (
-    _EDGE_CLASSES,
-    _ENTRIES,
-    _adjacency,
-    _base_indices,
-    _base_type,
+    _base_mask,
     _bits,
     _closed_base,
-    _component_keys,
-    _components,
-    _diagram_types,
+    _count_types,
+    _type_of,
     normalize_components,
 )
 
@@ -48,11 +43,20 @@ from conftest import (
     GRADED_LABELS,
     SUPPORTED_LABELS,
     base_type_test_elements,
+    l_and_v,
     l_and_v_bases,
+    mask_of,
 )
 from oracles import (
+    EDGE_CLASSES,
+    ENTRIES,
+    base_adjacency,
     base_first_closure_base,
     closed_base_by_tops,
+    component_keys,
+    diagram_base_type,
+    diagram_components,
+    diagram_types,
     indecomposable_base,
     pairing_with_coroot,
     pairwise_base_type,
@@ -375,7 +379,7 @@ def test_carry_base_matches_the_tops_loop(label):
                 _closed_base(rs, present)
             assert str(got.value) == str(exc), members
         else:
-            assert _base_indices(rs, _closed_base(rs, present)) == want, members
+            assert _bits(_base_mask(rs, _closed_base(rs, present))) == want, members
             closed += 1
     assert 0 < closed < len(sets)
 
@@ -400,45 +404,46 @@ def test_recognize_rejects_base_elements_differing_by_a_root():
 
 @pytest.mark.parametrize("label", GRADED_LABELS)
 def test_base_type_matches_pairwise_oracle(label):
-    """The edge-mask kernel types every l and v base as the walk over all
-    base pairs does."""
+    """Counting roots types every l and v as the diagram-key oracle and the
+    walk over all base pairs do: every mod-2 candidate up to rank 8, every
+    orbit representative above, seeded d = 3-6 elements in both bases and
+    the d = 1 and theta-in-l elements of ``base_type_test_elements``."""
     rs = build_root_system(parse_type(label))
     gd = quaternionic_decomposition(rs)
     for t in base_type_test_elements(rs):
-        for base in l_and_v_bases(rs, gd, t):
-            assert _base_type(rs, base) == pairwise_base_type(rs, base), t.describe()
+        for base, members in l_and_v(rs, gd, t):
+            got = _type_of(rs, mask_of(base), members)
+            assert got == diagram_base_type(rs, base) == pairwise_base_type(rs, base), t.describe()
 
 
 @pytest.mark.parametrize("label", GRADED_LABELS)
 def test_table_parts_type_matches_the_normalizing_constructor(label):
-    """The diagram table's components build, without alias lookups, the
-    type the public constructor builds from them: same components in the
-    same order, same hash and name."""
+    """The count table's components build, without alias lookups, the type
+    the public constructor builds from them: same components in the same
+    order, same hash and name."""
     rs = build_root_system(parse_type(label))
     gd = quaternionic_decomposition(rs)
     for t in base_type_test_elements(rs):
-        for base in l_and_v_bases(rs, gd, t):
-            parts = _components(_adjacency(rs, base), rs._sq_lengths)
-            torus = rs.rank - len(base)
-            expected = CartanType(tuple(parts), torus)
-            got = CartanType._of_table_parts(parts, torus)
+        for base, members in l_and_v(rs, gd, t):
+            got = _type_of(rs, mask_of(base), members)
+            expected = CartanType(got.components, got.torus_rank)
             assert got == expected and got.components == expected.components, t.describe()
             assert (hash(got), str(got)) == (hash(expected), expected.render())
 
 
 @pytest.mark.parametrize("label", GRADED_LABELS)
 def test_edge_pairings_from_lengths_match_string_walks(label):
-    """Every l and v base diagram has an edge exactly where the pairing is
-    nonzero, and the entries the root lengths give across it are the
-    root-string pairings."""
+    """In the diagram-key oracle, every l and v base diagram has an edge
+    exactly where the pairing is nonzero, and the entries the root lengths
+    give across it are the root-string pairings."""
     rs = build_root_system(parse_type(label))
     gd = quaternionic_decomposition(rs)
     pos, lengths = rs.positive_roots, rs._sq_lengths
     for t in base_type_test_elements(rs):
         for base in l_and_v_bases(rs, gd, t):
-            adj = _adjacency(rs, base)
+            adj = base_adjacency(rs, base)
             found = {
-                (x, y, *_ENTRIES[lengths[x], lengths[y]]) for x in base for y in _bits(adj[x])
+                (x, y, *ENTRIES[lengths[x], lengths[y]]) for x in base for y in _bits(adj[x])
             }
             walked = set()
             for x in base:
@@ -451,10 +456,10 @@ def test_edge_pairings_from_lengths_match_string_walks(label):
 
 @pytest.mark.parametrize("label", ["D6", "F4", "E8"])
 def test_base_type_and_analyze_walk_no_root_strings(label):
-    """_base_type and analyze read every Cartan entry off the length table,
-    and the grading reads theta's pairings off the Cartan matrix: after
-    they run, no module of the package, nor any class in one, binds the
-    root-string walker, the tuple orbit walk or the root code set."""
+    """_type_of and analyze type l and v by root counts, and the grading
+    reads theta's pairings off the Cartan matrix: after they run, no module
+    of the package, nor any class in one, binds the root-string walker, the
+    tuple orbit walk, the root code set or the diagram-key typing."""
     import pkgutil
     from importlib import import_module
 
@@ -463,10 +468,10 @@ def test_base_type_and_analyze_walk_no_root_strings(label):
     rs = build_root_system(parse_type(label))
     gd = quaternionic_decomposition(rs)
     for t in base_type_test_elements(rs):
-        for base in l_and_v_bases(rs, gd, t):
-            _base_type(rs, base)
+        for base, members in l_and_v(rs, gd, t):
+            _type_of(rs, mask_of(base), members)
         analyze(rs, gd, t)
-    gone = {"pairing_with_coroot", "_string_pairing", "wk_orbits", "_code_set"}
+    gone = {"pairing_with_coroot", "_string_pairing", "wk_orbits", "_code_set", "_component_keys"}
     mods = [quatforms] + [
         import_module(f"quatforms.{m.name}") for m in pkgutil.iter_modules(quatforms.__path__)
     ]
@@ -476,15 +481,17 @@ def test_base_type_and_analyze_walk_no_root_strings(label):
 
 
 def _assert_recognize_matches_certificate(sub):
-    assert recognize(sub) == tree_certificate_type(sub)
+    ambient = sub.ambient
+    base = [ambient._position[ambient._codes[r]] for r in sub.base]
+    assert recognize(sub) == tree_certificate_type(sub) == diagram_base_type(ambient, base)
 
 
 @pytest.mark.parametrize(
     "label", [s for s in GRADED_LABELS if parse_type(s).rank <= 8]
 )
 def test_recognize_matches_tree_certificate_on_involutions(label):
-    """The diagram lookup names every l and v of a d = 2 candidate as the
-    tree certificate does."""
+    """recognize names every l and v of a d = 2 candidate as the tree
+    certificate and the diagram-key oracle do."""
     from itertools import product
 
     rs = build_root_system(parse_type(label))
@@ -531,21 +538,21 @@ def _cartan_diagram(t):
 
 @pytest.mark.parametrize("rank", range(1, CLASSICAL_RANK_CAP + 1))
 def test_diagram_table_holds_every_type_of_its_rank(rank):
-    """Every buildable type is found under its own diagram, and only the
-    low-rank aliases A3/D3 and B2/C2 share a key."""
+    """In the diagram-key oracle, every buildable type is found under its
+    own diagram, and only the low-rank aliases A3/D3 and B2/C2 share a key."""
     types = []
     for family in FAMILIES:
         try:
             types.append(SimpleType(family, rank))
         except InvalidTypeError:
             pass
-    table = _diagram_types(rank)
+    table = diagram_types(rank)
     by_key = {}
     for t in types:
         adj, lengths = _cartan_diagram(t)
-        (found,) = _components(adj, lengths)
+        (found,) = diagram_components(adj, lengths)
         assert CartanType((found,)) == CartanType((t,))
-        (key,) = _component_keys(adj, lengths)
+        (key,) = component_keys(adj, lengths)
         by_key.setdefault(key, []).append(t.label)
     shared = sorted(labels for labels in by_key.values() if len(labels) > 1)
     assert shared == {2: [["B2", "C2"]], 3: [["A3", "D3"]]}.get(rank, [])
@@ -558,7 +565,7 @@ def test_diagram_key_ints_count_each_neighbour_class(rank):
     each class (a_ij, a_ji, degree of j), so no count spills into the next."""
     from collections import Counter
 
-    classes = {v: (*_ENTRIES[li, lj], d) for (li, lj, d), v in _EDGE_CLASSES.items()}
+    classes = {v: (*ENTRIES[li, lj], d) for (li, lj, d), v in EDGE_CLASSES.items()}
     for family in FAMILIES:
         try:
             adj, lengths = _cartan_diagram(SimpleType(family, rank))
@@ -567,12 +574,12 @@ def test_diagram_key_ints_count_each_neighbour_class(rank):
         expected = sorted(
             sorted(
                 Counter(
-                    (*_ENTRIES[lengths[i], lengths[j]], adj[j].bit_count()) for j in _bits(adj[i])
+                    (*ENTRIES[lengths[i], lengths[j]], adj[j].bit_count()) for j in _bits(adj[i])
                 ).items()
             )
             for i in adj
         )
-        ((n, ints),) = _component_keys(adj, lengths)
+        ((n, ints),) = component_keys(adj, lengths)
         decoded = sorted(
             sorted((c, x // v & 3) for v, c in classes.items() if x // v & 3) for x in ints
         )
@@ -600,7 +607,108 @@ def test_component_type_rejects_non_dynkin_diagrams(name):
     with pytest.raises(
         UnclassifiableSubsystemError, match="base diagram matches no simple type"
     ):
-        _components(*_diagram(*_NOT_DYNKIN[name]))
+        diagram_components(*_diagram(*_NOT_DYNKIN[name]))
+
+
+@pytest.mark.parametrize("rank", range(1, CLASSICAL_RANK_CAP + 1))
+def test_count_table_holds_every_type_of_its_rank(rank):
+    """Every buildable type is found under (N, s) read off its generated
+    root system: N its positive roots and s its short simple roots, from
+    the Fraction length oracle, mod the rank.  Only the low-rank aliases
+    A3/D3 and B2/C2 share a key, and the table holds no other key."""
+    table = _count_types(rank)
+    by_key = {}
+    for family in FAMILIES:
+        try:
+            t = SimpleType(family, rank)
+        except InvalidTypeError:
+            continue
+        lengths = squared_lengths(_cartan_matrix(t))
+        key = (len(build_root_system(t).positive_roots), lengths.count(min(lengths)) % rank)
+        assert CartanType((table[key],)) == CartanType((t,)), t.label
+        by_key.setdefault(key, []).append(t.label)
+    shared = sorted(labels for labels in by_key.values() if len(labels) > 1)
+    assert shared == {2: [["B2", "C2"]], 3: [["A3", "D3"]]}.get(rank, [])
+    assert set(table) == set(by_key)
+
+
+# Closed subsystems with a tampered base: (ambient, positive roots, base,
+# the error _type_of raises).  Every check is a raise, so it holds under -O.
+_TAMPERED = {
+    "node-missing": ("B2", [(1, 0), (1, 2)], [(1, 0)], "do not cover the subsystem"),
+    "decomposable-added": (
+        "A2", [(1, 0), (0, 1), (1, 1)], [(1, 0), (0, 1), (1, 1)], "differ by a root"
+    ),
+    "pair-differs-by-a-root": (
+        "B2", [(1, 0), (0, 1), (1, 1), (1, 2)], [(0, 1), (1, 1)], "differ by a root"
+    ),
+    "components-overlap": (
+        "B2", [(1, 0), (0, 1), (1, 1), (1, 2)], [(1, 0), (1, 2)], "share a root"
+    ),
+    "no-type": ("A2", [(1, 0), (0, 1), (1, 1)], [(1, 0)], "matches no simple type"),
+}
+
+
+def _tampered(name):
+    label, positive, base, _ = _TAMPERED[name]
+    rs = build_root_system(parse_type(label))
+    sub = Subsystem(rs, frozenset(positive) | {tuple(-c for c in r) for r in positive})
+    object.__setattr__(sub, "base", tuple(base))
+    return sub
+
+
+@pytest.mark.parametrize("name", sorted(_TAMPERED))
+def test_recognize_refuses_tampered_bases(name):
+    with pytest.raises(UnclassifiableSubsystemError, match=_TAMPERED[name][3]):
+        recognize(_tampered(name))
+
+
+def test_recognize_refuses_e8_with_a_simple_root_missing():
+    rs, sub = _full("E8")
+    for r in rs.simple_roots:
+        object.__setattr__(sub, "base", tuple(b for b in rs.simple_roots if b != r))
+        with pytest.raises(UnclassifiableSubsystemError):
+            recognize(sub)
+
+
+_RECOGNIZE_TAMPERED = """
+import ast, sys
+from quatforms import Subsystem, UnclassifiableSubsystemError, build_root_system, parse_type
+from quatforms import recognize
+for name, (label, positive, base, _) in sorted(ast.literal_eval(sys.argv[1]).items()):
+    rs = build_root_system(parse_type(label))
+    sub = Subsystem(rs, frozenset(positive) | {tuple(-c for c in r) for r in positive})
+    object.__setattr__(sub, "base", tuple(base))
+    try:
+        recognize(sub)
+    except UnclassifiableSubsystemError as exc:
+        print(name, exc)
+"""
+
+
+def test_recognize_refuses_tampered_bases_under_optimization():
+    """The same refusals with asserts stripped (python -O)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import quatforms
+
+    src = str(Path(quatforms.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _RECOGNIZE_TAMPERED, repr(_TAMPERED)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == sorted(_TAMPERED)
+    for line in lines:
+        assert line.endswith(_TAMPERED[line.split()[0]][3]), line
 
 
 def test_base_pairings_nonpositive():
