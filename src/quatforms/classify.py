@@ -374,16 +374,10 @@ def _merge_coincident(entries: list[GoldenEntry]) -> list[GoldenEntry]:
             order.append(k)
             continue
         prev = merged[k]
-        merged[k] = GoldenEntry(
-            ambient=prev.ambient,
+        merged[k] = replace(
+            prev,
             label=f"{prev.label} = {e.label}",
-            l_type=prev.l_type,
-            v_type=prev.v_type,
             s_description=f"{prev.s_description} = {e.s_description}",
-            noncompact_dual=prev.noncompact_dual,
-            equal_rank=prev.equal_rank,
-            table_rank=prev.table_rank,
-            table_dim_h=prev.table_dim_h,
             degenerate=prev.degenerate or e.degenerate,
         )
     return [merged[k] for k in order]

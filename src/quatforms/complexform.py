@@ -60,20 +60,16 @@ def step6_count(rs: RootSystem, gd: GradedDecomposition, s_pos: tuple[Root, ...]
     them (kept even when the difference is not a root), and the positive
     roots of m; the count is the number of distinct rows beyond |m|.  A
     nonzero value flags s as failing to be maximal totally complex.  As s
-    lies in m, those rows are theta - beta for beta in s ^ ``gd._mirror``.
+    lies in m, those rows are theta - beta for beta in s ^ ``gd._mirror``,
+    and a root listed twice in s_pos is one row.
     """
-    m, codes = gd._m_codes, rs._codes
-    s = [rs._position[codes[beta]] for beta in s_pos if codes.get(beta) in m]
-    if len(s) != len(s_pos):
-        raise ValueError("s_pos must consist of grade-1 positive roots")
-    return _step6_count(rs, gd, s)
-
-
-def _step6_count(rs: RootSystem, gd: GradedDecomposition, s: list[int]) -> int:
-    """``step6_count`` of the grade-1 positive roots at indices s: how many lie
-    in ``gd._mirror``; O(1) on a real grading, whose mirror set is empty."""
-    mirror = gd._mirror
-    return len(mirror.intersection([rs._pos_codes[x] for x in s])) if mirror else 0
+    index, m, s = rs._index, gd._masks[0], 0
+    for beta in s_pos:
+        x = index.get(beta, -1)  # a negative root's index is ~x < 0
+        if x < 0 or not m >> x & 1:
+            raise ValueError("s_pos must consist of grade-1 positive roots")
+        s |= 1 << x
+    return (s & gd._mirror).bit_count()
 
 
 def _verdict(circle_ok: bool, dim_s: int, dim_h: int) -> str:
@@ -106,8 +102,7 @@ def _kernel(rs: RootSystem, gd: GradedDecomposition, kept: int, present: int) ->
     v_nodes = l_nodes & ~m | bool(theta) << len(rs.positive_roots) - 1
     l_type, v_type = _type_of(rs, l_nodes, kept), _type_of(rs, v_nodes, kept & ~m)
     s = kept & m
-    step6 = _step6_count(rs, gd, _bits(s)) if gd._mirror else 0
-    return l_type, v_type, not theta, s, step6
+    return l_type, v_type, not theta, s, (s & gd._mirror).bit_count()
 
 
 def _analysis(rs: RootSystem, gd: GradedDecomposition, t: ToralElement) -> tuple:

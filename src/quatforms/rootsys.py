@@ -7,27 +7,27 @@ Cartan matrix, linear in the first root (<a, alpha_i-check> is a's
 coefficients against column i), and across two roots from their integer
 squared lengths, so all arithmetic stays on integer coefficient vectors.
 
-Roots are tuples at every API; inside the hot loops (root generation,
-subsystem closure, step6 rows) each root is packed into one int, the
-balanced base-32 code sum(c_j * 32**j).  The code is linear, so sums
-and differences of roots become int additions, and it is injective on
-vectors with |c_j| <= 15.  Every root coefficient is checked to satisfy
-|c| <= 7 (E8's highest root has 6), so every sum or difference of two
-roots, and every step of a root-string walk, keeps its code unique.
+Roots are tuples at every API; past it a root is its index in
+``positive_roots`` (``RootSystem._index``, with ~x for the negative of
+root x), and root sets are bitmasks of those indices.  The two builders
+that add roots, root generation and the sum-triple table, pack each root
+into one int, the balanced base-32 code sum(c_j * 32**j).  The code is
+linear, so sums and differences of roots become int additions, and it is
+injective on vectors with |c_j| <= 15.  Every root coefficient is checked
+to satisfy |c| <= 7 (E8's highest root has 6), so every sum or difference
+of two roots, and every step of a root-string walk, keeps its code unique.
 
-The code table is built from the negative roots, cached in the order of
-the positive ones.  On first use only (never at import or in
-build_root_system) a RootSystem also caches a parent table that writes
-each non-simple positive root as an earlier positive root plus one simple
-root (Humphreys, 10.2), so anything linear in the root, such as a toral
-pairing, costs one addition per positive root; a table of the positive
-sum triples alpha + beta = gamma, as per-root masks whose sum over a root
-set gives its closure check and base in a few big-int operations, and
-per coordinate, the masks of the roots with an odd coefficient; and each
-positive root's squared length, for the pairings across a base diagram's
-edges.  None of these tables leaves the package.  A GradedDecomposition
-flags its grade-1 roots by index when it is built (``in_m``), so grade
-slices are lookups.
+On first use only (never at import or in build_root_system) a RootSystem
+caches the index and a parent table that writes each non-simple positive
+root as an earlier positive root plus one simple root (Humphreys, 10.2),
+so anything linear in the root, such as a toral pairing, costs one
+addition per positive root; a table of the positive sum triples alpha +
+beta = gamma, as per-root masks whose sum over a root set gives its
+closure check and base in a few big-int operations, and per coordinate,
+the masks of the roots with an odd coefficient; and each positive root's
+squared length, for the pairings across a base diagram's edges.  None of
+these tables leaves the package.  A GradedDecomposition derives the mask
+of its grade-1 roots from ``m_pos``, so grade slices are mask operations.
 
 The highest root defines a grading by its attach node(s) in the extended
 diagram: grade 1 cuts out the tangent part of the quaternionic symmetric
@@ -44,7 +44,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import add
+from operator import add, sub
 
 Root = tuple[int, ...]
 
@@ -267,12 +267,21 @@ class RootSystem:
     @cached_property
     def root_set(self) -> frozenset[Root]:
         """All roots, positive and negative."""
-        return frozenset(self.positive_roots) | frozenset(self._negatives)
+        return frozenset(self._index)
 
     @cached_property
     def _negatives(self) -> tuple[Root, ...]:
         """The negative roots, aligned with ``positive_roots``."""
         return tuple(tuple(-x for x in r) for r in self.positive_roots)
+
+    @cached_property
+    def _index(self) -> dict[Root, int]:
+        """Index x in ``positive_roots`` of each positive root, and ~x of its negative."""
+        index = {}
+        for x, (r, neg) in enumerate(zip(self.positive_roots, self._negatives)):
+            index[r] = x
+            index[neg] = ~x
+        return index
 
     @cached_property
     def _parents(self) -> tuple[tuple[int, int], ...]:
@@ -284,11 +293,11 @@ class RootSystem:
         alpha_1, the table builds any function linear in the root with one
         addition per positive root.
         """
-        pos = self.positive_roots
-        index = {r: k for k, r in enumerate(pos)}
+        index = self._index
         table = []
-        for r in pos[self.rank :]:
+        for r in self.positive_roots[self.rank :]:
             for i, c in enumerate(r):
+                # A nonzero vector with coefficients >= 0 is no negative root.
                 p = index.get(r[:i] + (c - 1,) + r[i + 1 :]) if c else None
                 if p is not None:
                     table.append((p, i))
@@ -298,33 +307,14 @@ class RootSystem:
         return tuple(table)
 
     @cached_property
-    def _pos_codes(self) -> tuple[int, ...]:
-        """Packed code of each positive root, in ``positive_roots`` order."""
-        return tuple(map(_encode, self.positive_roots))
-
-    @cached_property
-    def _codes(self) -> dict[Root, int]:
-        """Packed code of every root; a negative root has the negated code."""
-        codes = {}
-        for r, neg, c in zip(self.positive_roots, self._negatives, self._pos_codes):
-            codes[r] = c
-            codes[neg] = -c
-        return codes
-
-    @cached_property
-    def _position(self) -> dict[int, int]:
-        """Index in ``positive_roots`` of each positive root's code."""
-        return {c: k for k, c in enumerate(self._pos_codes)}
-
-    @cached_property
     def _sum_triples(self) -> tuple[tuple[int, int, int], ...]:
         """Every (u, v, w) with u < v and positive_roots[u] + [v] = [w].
 
         Indices are into ``positive_roots``; triple t is the t-th in (u, v)
-        order, and w is above both u and v.
+        order, and w is above both u and v.  Sums are taken on packed codes.
         """
-        position = self._position
-        codes = list(position)
+        codes = list(map(_encode, self.positive_roots))
+        position = {c: k for k, c in enumerate(codes)}
         triples = []
         for u, a in enumerate(codes):
             for v in range(u + 1, len(codes)):
@@ -406,7 +396,7 @@ class RootSystem:
         return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
     def is_root(self, v: Root) -> bool:
-        return v in self.root_set
+        return v in self._index
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RootSystem({self.type.label}, {len(self.positive_roots)} positive roots)"
@@ -426,17 +416,12 @@ def build_root_system(t: SimpleType) -> RootSystem:
     top_height = sum(highest)
     if sum(1 for r in pos if sum(r) == top_height) != 1:
         raise RuntimeError(f"highest root of {t.label} is not unique")
-    rs = RootSystem(
+    return RootSystem(
         type=t,
         cartan=cartan,
         positive_roots=tuple(pos),
         highest_root=highest,
     )
-    # theta + alpha_i has positive coefficients, so it is a root only if positive.
-    top = _encode(highest)
-    if any(top + _CODE_BASE**i in rs._position for i in range(rs.rank)):
-        raise RuntimeError(f"highest root of {t.label} plus a simple root is a root")
-    return rs
 
 
 def node_set(rs: RootSystem) -> frozenset[int]:
@@ -470,35 +455,38 @@ class GradedDecomposition:
 
     Grade 1 spans the tangent space of the quaternionic symmetric space
     G/K built on the highest root; grades 0 and 2 span the isotropy
-    algebra.  The highest root is the unique root of grade 2.  ``in_m``
-    flags the grade-1 roots by their index in ``positive_roots`` of ``_rs``.
+    algebra.  The highest root is the unique root of grade 2.  ``m_pos``
+    is the one record of the grade-1 roots: the masks of their indices in
+    ``positive_roots`` of ``_rs`` are derived from it.
     """
 
     node_set: frozenset[int]
     k_pos: tuple[Root, ...]
     m_pos: tuple[Root, ...]
     quaternionic_dim: int
-    in_m: tuple[bool, ...] = field(repr=False, compare=False)
     _rs: RootSystem = field(repr=False, compare=False)
 
     @cached_property
     def _masks(self) -> tuple[int, int]:
         """The member mask of the grade-1 roots, and the role sum of the others."""
-        roles = self._rs._triple_masks[0]
-        m = sum([1 << x for x, flag in enumerate(self.in_m) if flag])
-        return m, sum([r for r, flag in zip(roles, self.in_m) if not flag])
+        index, roles = self._rs._index, self._rs._triple_masks[0]
+        m = 0
+        for r in self.m_pos:
+            m |= 1 << index[r]
+        return m, sum([r for x, r in enumerate(roles) if not m >> x & 1])
 
     @cached_property
-    def _m_codes(self) -> frozenset[int]:
-        """Packed codes of the grade-1 positive roots."""
-        return frozenset(map(_encode, self.m_pos))
-
-    @cached_property
-    def _mirror(self) -> frozenset[int]:
-        """Codes of the grade-1 roots beta with theta - beta no grade-1 root: none
+    def _mirror(self) -> int:
+        """Mask of the grade-1 roots beta with theta - beta no grade-1 root: 0
         if built by ``quaternionic_decomposition``, as <beta, theta-check> = 1."""
-        theta, m = _encode(self.k_pos[-1]), self._m_codes  # k_pos ends with theta
-        return frozenset(c for c in m if theta - c not in m)
+        index, m = self._rs._index, self._masks[0]
+        theta, mirror = self.k_pos[-1], 0  # k_pos ends with theta
+        for r in self.m_pos:
+            # theta - beta has coefficients >= 0, so it is no negative root.
+            x = index.get(tuple(map(sub, theta, r)))
+            if x is None or not m >> x & 1:
+                mirror |= 1 << index[r]
+        return mirror
 
 
 @lru_cache(maxsize=None)
@@ -512,12 +500,10 @@ def quaternionic_decomposition(rs: RootSystem) -> GradedDecomposition:
     k_pos: list[Root] = []
     m_pos: list[Root] = []
     grade2: list[Root] = []
-    in_m: list[bool] = []
     for alpha in rs.positive_roots:
         g = grade(rs, nodes, alpha)
         if not 0 <= g <= 2:
             raise RuntimeError(f"grade {g} out of range for {alpha}")
-        in_m.append(g == 1)
         if g == 1:
             m_pos.append(alpha)
         else:
@@ -533,7 +519,6 @@ def quaternionic_decomposition(rs: RootSystem) -> GradedDecomposition:
         k_pos=tuple(k_pos),
         m_pos=tuple(m_pos),
         quaternionic_dim=len(m_pos) // 2,
-        in_m=tuple(in_m),
         _rs=rs,
     )
 

@@ -84,19 +84,18 @@ class Subsystem:
     positive_roots: tuple[Root, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Every step runs on packed root codes and positions (see rootsys);
-        # root tuples are only looked up for the results and error messages.
+        # Every step runs on positive-root indices and their masks (see
+        # rootsys); root tuples are only looked up for the results and errors.
         ambient = self.ambient
-        get_code = ambient._codes.get
-        codes = [get_code(r) for r in self.roots]
-        code_set = set(codes)
-        for r, c in zip(self.roots, codes):
-            if c is None:
+        get_index = ambient._index.get
+        xs = [get_index(r) for r in self.roots]
+        x_set = set(xs)
+        for r, x in zip(self.roots, xs):
+            if x is None:
                 raise NotClosedError(f"{r} is not a root of {ambient.type.label}")
-            if -c not in code_set:
+            if ~x not in x_set:
                 raise NotClosedError(f"not symmetric: missing negative of {r}")
-        position = ambient._position
-        members = sorted([position[c] for c in code_set if c > 0])
+        members = sorted([x for x in x_set if x >= 0])
         pos = ambient.positive_roots
         object.__setattr__(self, "positive_roots", tuple(pos[x] for x in members))
         roles = ambient._triple_masks[0]
@@ -308,9 +307,9 @@ def recognize(sub: Subsystem) -> CartanType:
     component by its rank, root count and short simple roots (``_type_of``),
     and the torus rank as the ambient rank minus the base size (correct for
     the full-rank subsystems this package produces)."""
-    position, codes = sub.ambient._position, sub.ambient._codes
-    base = sum([1 << position[codes[r]] for r in sub.base])
-    members = sum([1 << position[codes[r]] for r in sub.positive_roots])
+    index = sub.ambient._index
+    base = sum([1 << index[r] for r in sub.base])
+    members = sum([1 << index[r] for r in sub.positive_roots])
     return _type_of(sub.ambient, base, members)
 
 

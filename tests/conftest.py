@@ -52,7 +52,7 @@ def l_and_v(rs, gd, t):
     list of positive-root indices, the positive members as a mask of them."""
     roles = rs._triple_masks[0]
     kept = [x for x, v in enumerate(_pairing_values(rs, t)) if v % t.denom == 0]
-    v = [x for x in kept if not gd.in_m[x]]
+    v = [x for x in kept if not gd._masks[0] >> x & 1]
     return tuple(
         (_bits(_base_mask(rs, _closed_base(rs, sum(roles[x] for x in xs)))), mask_of(xs))
         for xs in (kept, v)

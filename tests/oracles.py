@@ -29,8 +29,10 @@ per W_K-orbit.  The step6 oracle is the set formula complexform ran on
 every call before it read the grading's mirror set.  The orbit oracle is
 the W_K-orbit walk on coordinate tuples that classify ran before it walked
 ints, with s_theta's column from root-string pairings.
-coroot_pairing and enumerate_involutions are small helpers the package
-itself has no use for.
+The code table packs every root with rootsys._encode for the oracles
+that walk packed codes; the package itself packs roots only while it
+builds its root and sum-triple tables.  coroot_pairing and
+enumerate_involutions are small helpers the package itself has no use for.
 """
 
 from __future__ import annotations
@@ -68,9 +70,18 @@ def positive_part(roots) -> frozenset[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
+def root_code_table(rs) -> dict[tuple[int, ...], int]:
+    """Packed code (``rootsys._encode``) of every root of rs, positive and
+    negative: the package packs roots only inside its two root builders."""
+    from quatforms.rootsys import _encode
+
+    return {r: _encode(r) for r in rs.root_set}
+
+
+@lru_cache(maxsize=None)
 def root_codes(rs) -> frozenset[int]:
     """Packed codes of all roots of rs, positive and negative."""
-    return frozenset(rs._codes.values())
+    return frozenset(root_code_table(rs).values())
 
 
 def pairing_with_coroot(rs, a, b) -> int:
@@ -81,7 +92,7 @@ def pairing_with_coroot(rs, a, b) -> int:
     Algebras and Representation Theory, 9.4).  Both walks run on packed
     root codes.
     """
-    codes = rs._codes
+    codes = root_code_table(rs)
     ca, cb = codes.get(a), codes.get(b)
     for r, c in ((a, ca), (b, cb)):
         if c is None:
@@ -163,7 +174,7 @@ def pairwise_closure_base(rs, roots) -> tuple[tuple[int, ...], ...]:
     """
     from quatforms.subsys import NotClosedError, _missing
 
-    get_code = rs._codes.get
+    get_code = root_code_table(rs).get
     code_set = {get_code(r) for r in roots}
     for r in roots:
         c = get_code(r)
@@ -202,7 +213,7 @@ def base_first_closure_base(rs, roots) -> tuple[tuple[int, ...], ...]:
     """
     from quatforms.subsys import NotClosedError, _missing
 
-    get_code = rs._codes.get
+    get_code = root_code_table(rs).get
     codes = [get_code(r) for r in roots]
     code_set = set(codes)
     for r, c in zip(roots, codes):
@@ -281,10 +292,10 @@ def step6_rows(rs, gd, s) -> int:
     deduplicated; the count is how many rows lie outside the codes of
     gd.m_pos.
     """
-    codes = rs._pos_codes
-    theta = codes[-1]  # the highest root is the last positive root
-    rows = {codes[x] for x in s} | {theta - codes[x] for x in s}
-    return len(rows - {rs._codes[r] for r in gd.m_pos})
+    codes, pos = root_code_table(rs), rs.positive_roots
+    theta = codes[pos[-1]]  # the highest root is the last positive root
+    rows = {codes[pos[x]] for x in s} | {theta - codes[pos[x]] for x in s}
+    return len(rows - {codes[r] for r in gd.m_pos})
 
 
 def squared_lengths(cartan) -> tuple[Fraction, ...]:
@@ -580,7 +591,7 @@ def pairwise_base_type(ambient, base):
     """
     from quatforms.subsys import CartanType, UnclassifiableSubsystemError
 
-    codes = [ambient._pos_codes[x] for x in base]
+    codes = [root_code_table(ambient)[ambient.positive_roots[x]] for x in base]
     k = len(codes)
     roots = root_codes(ambient)
     nbrs = [[] for _ in range(k)]
@@ -736,27 +747,28 @@ def closed_base_by_tops(ambient, members):
 def analysis_by_lists(rs, gd, t):
     """(l_type, v_type, circle_ok, s, step6) of t, s a list of indices: the
     list kernel complexform._analysis ran before it read l and v off role
-    sums.  l keeps the positive roots whose pairing is 0 mod denom, in_m
-    splits it into s and v, both go through closed_base_by_tops, the v base
-    must be l's grade-0 base nodes plus theta when l holds it, and each base
-    is typed on its own by diagram keys (``diagram_base_type``)."""
-    from quatforms.complexform import _step6_count
+    sums.  l keeps the positive roots whose pairing is 0 mod denom, the
+    indices of gd.m_pos split it into s and v, both go through
+    closed_base_by_tops, the v base must be l's grade-0 base nodes plus
+    theta when l holds it, and each base is typed on its own by diagram
+    keys (``diagram_base_type``)."""
     from quatforms.involution import _pairing_values
 
     vals = _pairing_values(rs, t)
     d = t.denom
     kept = [x for x, v in enumerate(vals) if v % d == 0]
-    in_m = gd.in_m
-    s = [x for x in kept if in_m[x]]
+    where = {r: k for k, r in enumerate(rs.positive_roots)}
+    m_idx = {where[r] for r in gd.m_pos}
+    s = [x for x in kept if x in m_idx]
     l_base = closed_base_by_tops(rs, kept)
-    v_base = closed_base_by_tops(rs, [x for x in kept if not in_m[x]])
+    v_base = closed_base_by_tops(rs, [x for x in kept if x not in m_idx])
     circle_ok = vals[-1] % d != 0
     theta = len(vals) - 1
-    v0 = [x for x in l_base if not in_m[x] and x != theta]
+    v0 = [x for x in l_base if x not in m_idx and x != theta]
     if v0 + [theta] * (not circle_ok) != v_base:
         raise RuntimeError(f"v base at {t.describe()} is not l's grade-0 base plus theta")
     l_type, v_type = diagram_base_type(rs, l_base), diagram_base_type(rs, v_base)
-    return l_type, v_type, circle_ok, s, _step6_count(rs, gd, s)
+    return l_type, v_type, circle_ok, s, step6_rows(rs, gd, s)
 
 
 def analyze_via_subsystems(rs, gd, t):

@@ -28,6 +28,7 @@ from oracles import (
     pairing_with_coroot,
     positive_part,
     reflection_closure,
+    root_code_table,
     squared_lengths,
 )
 
@@ -209,7 +210,7 @@ def test_root_codes_are_linear_and_injective(label):
     pairing oracle test.
     """
     rs = build_root_system(parse_type(label))
-    codes = rs._codes
+    codes = root_code_table(rs)
     roots = sorted(rs.root_set)
     assert set(codes) == rs.root_set
     assert all(codes[a] == _encode(a) for a in roots)
@@ -258,12 +259,13 @@ def test_sum_triple_table_lists_each_positive_sum_once(label):
     """The triples are exactly the pairs u < v of positive roots whose tuple
     sum is a positive root, in (u, v) order; each role mask has exactly the
     bits of the triples it names, in the layout grouped by w with a spare
-    bit after each root's group, and its own spare bit; _position inverts
-    positive_roots."""
+    bit after each root's group, and its own spare bit; _index inverts
+    positive_roots, with ~k for the negative of root k."""
     rs = build_root_system(parse_type(label))
     pos = rs.positive_roots
-    assert rs._position == {rs._codes[r]: k for k, r in enumerate(pos)}
     index = {r: k for k, r in enumerate(pos)}
+    negatives = {tuple(-x for x in r): ~k for r, k in index.items()}
+    assert rs._index == index | negatives
     expected = []
     for u, a in enumerate(pos):
         for v in range(u + 1, len(pos)):

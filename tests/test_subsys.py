@@ -366,7 +366,7 @@ def test_carry_base_matches_the_tops_loop(label):
     sets = []
     for t in base_type_test_elements(rs):
         kept = [x for x, v in enumerate(_pairing_values(rs, t)) if v % t.denom == 0]
-        sets += [kept, [x for x in kept if not gd.in_m[x]]]
+        sets += [kept, [x for x in kept if not gd._masks[0] >> x & 1]]
     rng = random.Random(f"carry-{label}")
     sets += [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(200)]
     closed = 0
@@ -459,7 +459,9 @@ def test_base_type_and_analyze_walk_no_root_strings(label):
     """_type_of and analyze type l and v by root counts, and the grading
     reads theta's pairings off the Cartan matrix: after they run, no module
     of the package, nor any class in one, binds the root-string walker, the
-    tuple orbit walk, the root code set or the diagram-key typing."""
+    tuple orbit walk, the root code set, the diagram-key typing, the packed
+    code tables, the list step6 count or a grade-1 flag tuple (a dataclass
+    field counts as bound)."""
     import pkgutil
     from importlib import import_module
 
@@ -472,17 +474,19 @@ def test_base_type_and_analyze_walk_no_root_strings(label):
             _type_of(rs, mask_of(base), members)
         analyze(rs, gd, t)
     gone = {"pairing_with_coroot", "_string_pairing", "wk_orbits", "_code_set", "_component_keys"}
+    gone |= {"_codes", "_position", "_pos_codes", "_m_codes", "_step6_count", "in_m"}
     mods = [quatforms] + [
         import_module(f"quatforms.{m.name}") for m in pkgutil.iter_modules(quatforms.__path__)
     ]
     for mod in mods:
         for scope in [mod, *(v for v in vars(mod).values() if isinstance(v, type))]:
-            assert not gone & set(vars(scope)), (mod.__name__, scope)
+            names = set(vars(scope)) | set(getattr(scope, "__dataclass_fields__", ()))
+            assert not gone & names, (mod.__name__, scope)
 
 
 def _assert_recognize_matches_certificate(sub):
     ambient = sub.ambient
-    base = [ambient._position[ambient._codes[r]] for r in sub.base]
+    base = [ambient._index[r] for r in sub.base]
     assert recognize(sub) == tree_certificate_type(sub) == diagram_base_type(ambient, base)
 
 
