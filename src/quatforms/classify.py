@@ -8,11 +8,12 @@ group K (generated by the simple reflections off the node set and by the
 highest-root reflection) preserves k and m and sends the highest root to
 its negative or itself, so the (L, V) types and the verdict are constant
 on each W_K-orbit of candidates (Helgason, Differential Geometry, Lie
-Groups, and Symmetric Spaces, ch. X).  One representative per orbit, its
-lex-smallest member, is analyzed and stands for the whole orbit.  The
-complex forms are deduplicated by their (L, V) Cartan-type pair (isometric
-forms are equivalent under the isotropy group, and no two registry entries
-of one ambient type share a key), and the surviving set is compared to the
+Groups, and Symmetric Spaces, ch. X).  Only the orbits passing the circle
+test, half the candidates, are walked; each one's lex-smallest member is
+analyzed and stands for the whole orbit.  The complex forms are
+deduplicated by their (L, V) Cartan-type pair (isometric forms are
+equivalent under the isotropy group, and no two registry entries of one
+ambient type share a key), and the surviving set is compared to the
 bundled registry.
 
 Registry entries for the exceptional types are shipped as data; entries
@@ -421,27 +422,25 @@ def golden_for_type(
 
 
 @lru_cache(maxsize=None)
-def _orbit_table(rs: RootSystem) -> tuple[tuple, ...]:
-    """(lex-smallest member, size, circle verdict, witness) of each W_K-orbit
-    on the mod-2 coweight candidates, in the lex order of the representatives.
+def _orbit_table(rs: RootSystem) -> tuple[tuple[ToralElement, int], ...]:
+    """(witness, size) of each W_K-orbit of mod-2 coweight candidates that
+    passes the circle test, in lex order; the witness is the orbit's
+    lex-smallest member, a coweight-basis element of denominator 2.
 
-    Candidates are walked as ints, coordinate 0 the most significant bit,
-    so int order is lex order and the first unseen int opens the next
-    orbit.  A reflection s_beta moves the coweight coordinates c to
-    c - (c . beta) (<alpha_j, beta-check>)_j, so mod 2 it adds that column
-    exactly when c . beta is odd.  The generators are s_i for the simple
-    roots off the node set (column i of the Cartan matrix) and s_theta for
-    the highest root.  Lemma: s_theta's column mod 2 is the node-set
-    indicator.  theta is long and, at rank >= 2, no simple root, so
-    <alpha_j, theta-check> is 0 or +-1 and is nonzero exactly when
-    <theta, alpha_j-check> is (Humphreys, 9.4); theta is dominant, so that
-    is when j is in the node set.
-
-    The verdict, theta . c odd, holds for the whole orbit, as W_K sends
-    theta to +-theta.  The witness is the representative as a
-    coweight-basis element of denominator 2 when the orbit passes the
-    circle test, None otherwise.  Built once per root system; only the
-    representatives become tuples.
+    The test, theta . c odd, holds for whole orbits, as W_K sends theta to
+    +-theta, and theta mod 2 is never 0 (every type has an odd mark), so
+    exactly half the 2^rank candidates pass.  They are walked as ints,
+    coordinate 0 the most significant bit, so int order is lex order and
+    each unseen int of the odd coset opens the next orbit.  A reflection
+    s_beta moves the coweight coordinates c to c - (c . beta) (<alpha_j,
+    beta-check>)_j, so mod 2 it adds that column exactly when c . beta is
+    odd.  The generators are s_i for the simple roots off the node set
+    (column i of the Cartan matrix) and s_theta for the highest root.
+    Lemma: s_theta's column mod 2 is the node-set indicator.  theta is long
+    and, at rank >= 2, no simple root, so <alpha_j, theta-check> is 0 or
+    +-1 and is nonzero exactly when <theta, alpha_j-check> is (Humphreys,
+    9.4); theta is dominant, so that is when j is in the node set.  Built
+    once per root system.
     """
     n = rs.rank
     nodes = quaternionic_decomposition(rs).node_set
@@ -459,7 +458,7 @@ def _orbit_table(rs: RootSystem) -> tuple[tuple, ...]:
     seen = bytearray(1 << n)
     rows = []
     for start in range(1 << n):
-        if seen[start]:
+        if seen[start] or not (start & theta).bit_count() % 2:
             continue
         seen[start] = 1
         members = [start]
@@ -471,9 +470,7 @@ def _orbit_table(rs: RootSystem) -> tuple[tuple, ...]:
                         seen[y] = 1
                         members.append(y)
         rep = tuple(start >> (n - 1 - j) & 1 for j in range(n))
-        circle_ok = (start & theta).bit_count() % 2 == 1
-        witness = ToralElement(rep, 2, COWEIGHT) if circle_ok else None
-        rows.append((rep, len(members), circle_ok, witness))
+        rows.append((ToralElement(rep, 2, COWEIGHT), len(members)))
     return tuple(rows)
 
 
@@ -538,33 +535,28 @@ class ClassificationReport:
 def classify_equal_rank(
     rs: RootSystem, golden_path: str | None = None
 ) -> ClassificationReport:
-    """Scan one candidate per W_K-orbit, dedupe the forms, diff the registry.
+    """Scan one candidate per passing W_K-orbit, dedupe the forms, diff the registry.
 
-    Each orbit's lex-smallest member is analyzed if its orbit passes the
-    circle test; its verdict and (L, V) pair hold for the whole orbit, whose
-    size is added to the form's multiplicity.  Representatives come in lex
-    order, so a form's witness is its lex-smallest candidate, and
-    ``candidates`` still counts all 2^rank of them.  At d = 2 the circle
-    test implies the dimension test: each grade-1 positive root beta pairs
-    with theta - beta, also a grade-1 positive root, and c(beta) + c(theta -
-    beta) = c(theta) = 1 mod 2, so exactly one root of each pair lies in
-    the centralizer and dim_C S = dim_H M.  A representative whose analysis
-    says otherwise, or a nonzero step6 count, raises RuntimeError.  The
-    analysis is ``analyze``'s kernel, without the report.  The orbit table,
-    with circle verdicts and witnesses, the grading and each type's bundled
-    registry slice are built once per process, so a repeated call pays only
-    for analyzing the passing representatives, and builds no toral element.
+    Each witness of ``_orbit_table`` is analyzed; its verdict and (L, V)
+    pair hold for its whole orbit, whose size is added to the form's
+    multiplicity.  Witnesses come in lex order, so a form's witness is its
+    lex-smallest candidate; ``candidates`` counts all 2^rank.  At d = 2 the
+    circle test implies the dimension test: each grade-1 positive root beta
+    pairs with theta - beta, also a grade-1 positive root, and c(beta) +
+    c(theta - beta) = c(theta) = 1 mod 2, so exactly one root of each pair
+    lies in the centralizer and dim_C S = dim_H M.  A witness whose
+    analysis says otherwise, or a nonzero step6 count, raises RuntimeError.
+    The analysis is ``analyze``'s kernel, without the report.  The orbit
+    table, the grading and each type's bundled registry slice are built
+    once per process, so a repeated call pays only for analyzing the
+    witnesses, and builds no toral element.
     """
     gd = quaternionic_decomposition(rs)
     dim_h = gd.quaternionic_dim
 
     forms: dict[tuple[CartanType, CartanType], list] = {}  # key -> [witness, count]
-    n_candidates = 0
-    for rep, size, passes, t in _orbit_table(rs):
-        n_candidates += size
-        if not passes:
-            continue
-        l_type, v_type, circle_ok, s, step6 = _mod2_analysis(rs, gd, rep)
+    for t, size in _orbit_table(rs):
+        l_type, v_type, circle_ok, s, step6 = _mod2_analysis(rs, gd, t.coords)
         dim_s = s.bit_count()
         if not (circle_ok and dim_s == dim_h and step6 == 0):
             raise RuntimeError(
@@ -594,5 +586,5 @@ def classify_equal_rank(
         unexpected=unexpected,
         skipped_unequal_rank=skipped,
         no_golden_baseline=not have_baseline,
-        candidates=n_candidates,
+        candidates=1 << rs.rank,
     )

@@ -455,16 +455,32 @@ class GradedDecomposition:
 
     Grade 1 spans the tangent space of the quaternionic symmetric space
     G/K built on the highest root; grades 0 and 2 span the isotropy
-    algebra.  The highest root is the unique root of grade 2.  ``m_pos``
-    is the one record of the grade-1 roots: the masks of their indices in
-    ``positive_roots`` of ``_rs`` are derived from it.
+    algebra.  The highest root is the unique root of grade 2.  ``m_pos``,
+    distinct positive roots of ``_rs`` other than it, is the one record of
+    the grade-1 roots: ``k_pos``, dim_H and the index masks derive from it.
     """
 
     node_set: frozenset[int]
-    k_pos: tuple[Root, ...]
     m_pos: tuple[Root, ...]
-    quaternionic_dim: int
     _rs: RootSystem = field(repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index, label = self._rs._index, self._rs.type.label
+        for r in self.m_pos:
+            if index.get(r, -1) < 0 or r == self._rs.highest_root:
+                raise GradingError(f"m_pos holds {r}, no positive root of {label} below theta")
+        if len(set(self.m_pos)) < len(self.m_pos):
+            raise GradingError(f"m_pos repeats a root of {label}")
+
+    @cached_property
+    def k_pos(self) -> tuple[Root, ...]:
+        """The positive roots off m, in ``positive_roots`` order: theta comes last."""
+        m = set(self.m_pos)
+        return tuple(r for r in self._rs.positive_roots if r not in m)
+
+    @property
+    def quaternionic_dim(self) -> int:
+        return len(self.m_pos) // 2
 
     @cached_property
     def _masks(self) -> tuple[int, int]:
@@ -480,7 +496,7 @@ class GradedDecomposition:
         """Mask of the grade-1 roots beta with theta - beta no grade-1 root: 0
         if built by ``quaternionic_decomposition``, as <beta, theta-check> = 1."""
         index, m = self._rs._index, self._masks[0]
-        theta, mirror = self.k_pos[-1], 0  # k_pos ends with theta
+        theta, mirror = self._rs.highest_root, 0
         for r in self.m_pos:
             # theta - beta has coefficients >= 0, so it is no negative root.
             x = index.get(tuple(map(sub, theta, r)))
@@ -491,13 +507,12 @@ class GradedDecomposition:
 
 @lru_cache(maxsize=None)
 def quaternionic_decomposition(rs: RootSystem) -> GradedDecomposition:
-    """Grade the positive roots at the node set and split them into k and m.
+    """Grade the positive roots at the node set and collect m, the grade-1 ones.
 
     The result is cached per root system and shared, like
     ``build_root_system``'s: GradedDecomposition is immutable.
     """
     nodes = node_set(rs)
-    k_pos: list[Root] = []
     m_pos: list[Root] = []
     grade2: list[Root] = []
     for alpha in rs.positive_roots:
@@ -506,21 +521,13 @@ def quaternionic_decomposition(rs: RootSystem) -> GradedDecomposition:
             raise RuntimeError(f"grade {g} out of range for {alpha}")
         if g == 1:
             m_pos.append(alpha)
-        else:
-            k_pos.append(alpha)
-            if g == 2:
-                grade2.append(alpha)
+        elif g == 2:
+            grade2.append(alpha)
     if grade2 != [rs.highest_root]:
         raise RuntimeError("grade-2 part is not the highest root alone")
     if len(m_pos) % 2:
         raise RuntimeError(f"grade-1 part has odd size {len(m_pos)}")
-    return GradedDecomposition(
-        node_set=nodes,
-        k_pos=tuple(k_pos),
-        m_pos=tuple(m_pos),
-        quaternionic_dim=len(m_pos) // 2,
-        _rs=rs,
-    )
+    return GradedDecomposition(node_set=nodes, m_pos=tuple(m_pos), _rs=rs)
 
 
 def roots_to_json(roots: tuple[Root, ...] | list[Root]) -> list[list[int]]:

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
-from quatforms import ToralElement, build_root_system, parse_type
-from quatforms.classify import _orbit_table
+from quatforms import ToralElement, build_root_system, parse_type, quaternionic_decomposition
 from quatforms.involution import _pairing_values
 from quatforms.rootsys import _RANKS
 from quatforms.subsys import _base_mask, _bits, _closed_base
+
+from oracles import wk_orbits
 
 EXCEPTIONAL_LABELS = ["G2", "F4", "E6", "E7", "E8"]
 
@@ -21,6 +23,13 @@ SUPPORTED_LABELS = [f"{family}{n}" for family, ranks in _RANKS.items() for n in 
 GRADED_LABELS = [s for s in SUPPORTED_LABELS if s != "A1"]
 
 
+@lru_cache(maxsize=None)
+def orbit_representatives(rs):
+    """The lex-smallest member of every W_K-orbit on the mod-2 coweight
+    candidates, the orbits that fail the circle test included."""
+    return tuple(orbit[0] for orbit in wk_orbits(rs, quaternionic_decomposition(rs)))
+
+
 def base_type_test_elements(rs):
     """Every mod-2 candidate up to rank 8, every orbit representative
     above, seeded d = 3-6 elements in both bases, and elements whose
@@ -29,7 +38,7 @@ def base_type_test_elements(rs):
     if rs.rank <= 8:
         reps = product((0, 1), repeat=rs.rank)
     else:
-        reps = (rep for rep, _size, _circle_ok, _witness in _orbit_table(rs))
+        reps = orbit_representatives(rs)
     elements = [ToralElement(c, 2, "coweight") for c in reps]
     rng = random.Random(f"base-type-{rs.type.label}")
     for d in range(3, 7):

@@ -190,13 +190,15 @@ def test_wk_orbits_partition_the_candidates(label):
     assert all(list(orbit) == sorted(orbit) for orbit in orbits)
     reps = [orbit[0] for orbit in orbits]
     assert reps == sorted(reps)
-    theta = rs.highest_root
-    rows = []
+    rows, failing = [], 0
     for o in orbits:
         t = ToralElement(o[0], 2, "coweight")
-        passes = pairing(rs, t, theta) != 0
-        rows.append((o[0], len(o), passes, t if passes else None))
-    assert list(_orbit_table(rs)) == rows
+        if pairing(rs, t, rs.highest_root) != 0:
+            rows.append((t, len(o)))
+        else:
+            failing += len(o)
+    assert list(_orbit_table(rs)) == rows  # the passing orbits, as (witness, size)
+    assert failing == 1 << (rs.rank - 1)
     if label in _ORBIT_COUNTS:
         assert len(orbits) == _ORBIT_COUNTS[label]
 
@@ -205,17 +207,20 @@ def test_wk_orbits_partition_the_candidates(label):
     "label", [s for s in GRADED_LABELS if parse_type(s).rank <= 8]
 )
 def test_orbit_table_circle_verdict_holds_for_every_member(label):
-    """Each row's stored circle verdict is the pairing of the highest root
-    with every member of its orbit, not only with the representative, and
-    a passing row's witness is the representative."""
+    """Every member of a listed orbit passes the circle test, the pairing of
+    the highest root, and every member of an orbit the table drops fails it."""
     rs = _rs(label)
-    orbits = wk_orbits(rs, quaternionic_decomposition(rs))
-    for (rep, size, circle_ok, witness), orbit in zip(_orbit_table(rs), orbits, strict=True):
-        assert (rep, size) == (orbit[0], len(orbit))
-        assert witness == (ToralElement(rep, 2, "coweight") if circle_ok else None)
+    table = {t.coords: size for t, size in _orbit_table(rs)}
+    kept = 0
+    for orbit in wk_orbits(rs, quaternionic_decomposition(rs)):
+        listed = orbit[0] in table
+        if listed:
+            assert table[orbit[0]] == len(orbit)
+            kept += 1
         for c in orbit:
             t = ToralElement(c, 2, "coweight")
-            assert circle_ok == (pairing(rs, t, rs.highest_root) != 0), c
+            assert listed == (pairing(rs, t, rs.highest_root) != 0), c
+    assert kept == len(table)
 
 
 def test_warm_classify_screens_without_pairing(monkeypatch):
@@ -242,9 +247,8 @@ def test_warm_classify_screens_without_pairing(monkeypatch):
     monkeypatch.setattr(ToralElement, "__post_init__", count)
     report = classify_equal_rank(rs)
     assert built == []
-    table = _orbit_table(rs)
-    witnesses = [w for _rep, _size, circle_ok, w in table if circle_ok]
-    assert 0 < len(witnesses) < len(table)
+    witnesses = [w for w, _size in _orbit_table(rs)]
+    assert witnesses and all(isinstance(w, ToralElement) for w in witnesses)
     assert report.found and all(any(f.witness is w for w in witnesses) for f in report.found)
 
 

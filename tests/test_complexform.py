@@ -23,12 +23,11 @@ from quatforms import (
     render_report,
     step6_count,
 )
-from quatforms.classify import _orbit_table
 from quatforms.involution import _pairing_values, centralizer
 from quatforms.rootsys import grade
 from quatforms.subsys import NotClosedError, Subsystem, _base_mask, _bits, _closed_base
 
-from conftest import GRADED_LABELS, base_type_test_elements, l_and_v_bases
+from conftest import GRADED_LABELS, base_type_test_elements, l_and_v_bases, orbit_representatives
 from oracles import (
     analysis_by_lists,
     analyze_via_subsystems,
@@ -287,9 +286,9 @@ def test_analyze_slices_match_grade_oracle_on_higher_order_elements(label, monke
 
 
 def _kernel_elements(rs):
-    """Every orbit representative, and the d = 1 and seeded d = 3-7 elements
-    of ``base_type_test_elements``."""
-    reps = [ToralElement(rep, 2, "coweight") for rep, *_ in _orbit_table(rs)]
+    """Every orbit representative, failing orbits included, and the d = 1
+    and seeded d = 3-7 elements of ``base_type_test_elements``."""
+    reps = [ToralElement(rep, 2, "coweight") for rep in orbit_representatives(rs)]
     return reps + [t for t in base_type_test_elements(rs) if t.denom != 2]
 
 
@@ -327,7 +326,7 @@ def test_analyze_matches_subsystem_oracle_on_involutions(label):
 )
 def test_analyze_matches_subsystem_oracle_on_orbit_representatives(label):
     rs, gd = _setup(label)
-    for rep, _size, _circle_ok, _witness in _orbit_table(rs):
+    for rep in orbit_representatives(rs):
         _assert_matches_subsystem_oracle(rs, gd, ToralElement(rep, 2, "coweight"))
 
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
 
 from quatforms import (
+    GradedDecomposition,
     GradingError,
     InvalidTypeError,
     SimpleType,
@@ -450,6 +452,35 @@ def test_grade2_singleton_and_partition(label):
     grade2 = [a for a in rs.positive_roots if grade(rs, gd.node_set, a) == 2]
     assert grade2 == [rs.highest_root]
     assert len(gd.m_pos) % 2 == 0
+    assert gd.k_pos == tuple(a for a in rs.positive_roots if grade(rs, gd.node_set, a) != 1)
+    assert gd.k_pos[-1] == rs.highest_root
+
+
+def test_grading_derives_k_and_dim_from_m_pos():
+    """m_pos is the one record of m: a grading holds no k_pos or dim_H field
+    that could contradict it, and a replaced m_pos moves both."""
+    assert [f.name for f in dataclasses.fields(GradedDecomposition)] == ["node_set", "m_pos", "_rs"]
+    rs = build_root_system(parse_type("G2"))
+    gd = dataclasses.replace(quaternionic_decomposition(rs), m_pos=rs.positive_roots[:2])
+    assert gd.quaternionic_dim == 1
+    assert gd.k_pos == rs.positive_roots[2:]
+
+
+@pytest.mark.parametrize("case", ["non-root", "negative root", "highest root", "repeated root"])
+def test_grading_refuses_a_bad_m_pos(case):
+    """m_pos must hold distinct positive roots other than the highest root;
+    a grading made with dataclasses.replace is checked like a built one."""
+    rs = build_root_system(parse_type("G2"))
+    gd = quaternionic_decomposition(rs)
+    m_pos = {
+        "non-root": ((9, 9),),
+        "negative root": ((-1, -1),),
+        "highest root": gd.m_pos + (rs.highest_root,),
+        "repeated root": gd.m_pos + gd.m_pos[:1],
+    }[case]
+    message = "repeats a root of G2" if case == "repeated root" else "no positive root of G2"
+    with pytest.raises(GradingError, match=message):
+        dataclasses.replace(gd, m_pos=m_pos)
 
 
 @pytest.mark.parametrize("label", GRADED_LABELS)
