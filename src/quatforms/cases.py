@@ -7,8 +7,9 @@ and double as a worked compatibility table between Bourbaki numbering
 (used everywhere in this package) and LiE numbering (useful when
 cross-checking against a LiE session); see docs/numbering-map.md.
 
-The ``lie_sym`` vectors carry LiE's cent_roots layout: rank coordinates
-followed by the denominator.
+Each case stores the attach node in both numberings; its ``sym_bourbaki``
+and ``lie_sym`` vectors are derived from them.  ``lie_sym`` carries LiE's
+cent_roots layout: rank coordinates followed by the denominator.
 """
 
 from __future__ import annotations
@@ -24,96 +25,88 @@ from .subsys import CartanType
 
 @dataclass(frozen=True)
 class ReferenceCase:
+    """One pinned case: the attach node in both numberings and the L and V
+    types its node indicator must produce."""
+
     label: str
     ambient: str
-    sym_bourbaki: tuple[int, ...]
-    lie_sym: tuple[int, ...]
     node_bourbaki: int
     node_lie: int
     expected_l: CartanType
     expected_v: CartanType
-    s_description: str
     display_aliases: Mapping[str, str] = field(default_factory=dict)
+
+    def _indicator(self, node: int) -> tuple[int, ...]:
+        return tuple(int(i == node) for i in range(1, parse_type(self.ambient).rank + 1))
+
+    @property
+    def sym_bourbaki(self) -> tuple[int, ...]:
+        """The node indicator in Bourbaki numbering: coroot coordinates over 2."""
+        return self._indicator(self.node_bourbaki)
+
+    @property
+    def lie_sym(self) -> tuple[int, ...]:
+        """The node indicator in LiE numbering, followed by the denominator 2."""
+        return (*self._indicator(self.node_lie), 2)
 
 
 REFERENCE_CASES: tuple[ReferenceCase, ...] = (
     ReferenceCase(
         label="B7",
         ambient="B7",
-        sym_bourbaki=(0, 1, 0, 0, 0, 0, 0),
-        lie_sym=(0, 1, 0, 0, 0, 0, 0, 2),
         node_bourbaki=2,
         node_lie=2,
         expected_l=CartanType.of("B5", "A1", "A1"),
         expected_v=CartanType.of("B4", torus_rank=3),
-        s_description="SO(11)/[SO(9) x SO(2)] x P^1(C) x P^1(C)",
     ),
     ReferenceCase(
         label="D7",
         ambient="D7",
-        sym_bourbaki=(0, 1, 0, 0, 0, 0, 0),
-        lie_sym=(0, 1, 0, 0, 0, 0, 0, 2),
         node_bourbaki=2,
         node_lie=2,
         expected_l=CartanType.of("D5", "A1", "A1"),
         expected_v=CartanType.of("D4", torus_rank=3),
-        s_description="SO(10)/[SO(8) x SO(2)] x P^1(C) x P^1(C)",
     ),
     ReferenceCase(
         label="G2",
         ambient="G2",
-        sym_bourbaki=(0, 1),
-        lie_sym=(0, 1, 2),
         node_bourbaki=2,
         node_lie=2,
         expected_l=CartanType.of("A1", "A1"),
         expected_v=CartanType((), 2),
-        s_description="P^1(C) x P^1(C)",
     ),
     ReferenceCase(
         label="F4",
         ambient="F4",
-        sym_bourbaki=(1, 0, 0, 0),
-        lie_sym=(1, 0, 0, 0, 2),
         node_bourbaki=1,
         node_lie=1,
         expected_l=CartanType.of("C3", "A1"),
         expected_v=CartanType.of("A2", torus_rank=2),
-        s_description="[Sp(3)/U(3)] x P^1(C)",
         display_aliases={"A1": "C1"},
     ),
     ReferenceCase(
         label="E6",
         ambient="E6",
-        sym_bourbaki=(0, 1, 0, 0, 0, 0),
-        lie_sym=(0, 1, 0, 0, 0, 0, 2),
         node_bourbaki=2,
         node_lie=2,
         expected_l=CartanType.of("A5", "A1"),
         expected_v=CartanType.of("A2", "A2", torus_rank=2),
-        s_description="[SU(6)/S(U(3) x U(3))] x P^1(C)",
     ),
     ReferenceCase(
         label="E7",
         ambient="E7",
-        sym_bourbaki=(1, 0, 0, 0, 0, 0, 0),
-        lie_sym=(0, 1, 0, 0, 0, 0, 0, 2),
         node_bourbaki=1,
         node_lie=2,
         expected_l=CartanType.of("D6", "A1"),
         expected_v=CartanType.of("A5", torus_rank=2),
-        s_description="[SO(12)/U(6)] x P^1(C)",
     ),
     ReferenceCase(
         label="E8",
         ambient="E8",
-        sym_bourbaki=(0, 0, 0, 0, 0, 0, 0, 1),
-        lie_sym=(0, 0, 0, 0, 0, 0, 0, 1, 2),
         node_bourbaki=8,
         node_lie=8,
         expected_l=CartanType.of("E7", "A1"),
         expected_v=CartanType.of("E6", torus_rank=2),
-        s_description="(E7/[E6 x T1]) x P^1(C)",
     ),
 )
 

@@ -13,21 +13,22 @@ test, half the candidates, are walked; each one's lex-smallest member is
 analyzed and stands for the whole orbit.  The complex forms are
 deduplicated by their (L, V) Cartan-type pair (isometric forms are
 equivalent under the isotropy group, and no two registry entries of one
-ambient type share a key), and the surviving set is compared to the
-bundled registry.
+ambient type share a key), and ``ClassificationReport`` diffs the
+surviving set against the registry when it is built.
 
 Registry entries for the exceptional types are shipped as data; entries
 for the classical families are produced at load time by the parametric
-rules documented on the generator functions.  Entries whose fixed-group
-rank is below the ambient rank cannot arise from toral centralizers and
-are reported as skipped.
+rules documented on the generator functions.  An entry's ``equal_rank``
+follows from its L type's rank; entries whose fixed-group rank is below the
+ambient rank cannot arise from toral centralizers and are reported as
+skipped.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable
 
@@ -54,7 +55,10 @@ class GoldenDataError(ValueError):
 
 @dataclass(frozen=True)
 class GoldenEntry:
-    """One reference form: the registry row the search is diffed against."""
+    """One reference form: the registry row the search is diffed against.
+
+    ``equal_rank`` is derived: L's total rank equals the ambient rank.
+    """
 
     ambient: SimpleType
     label: str
@@ -62,10 +66,13 @@ class GoldenEntry:
     v_type: CartanType
     s_description: str
     noncompact_dual: str
-    equal_rank: bool
+    equal_rank: bool = field(init=False)
     table_rank: int
     table_dim_h: int
     degenerate: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "equal_rank", self.l_type.total_rank == self.ambient.rank)
 
     @property
     def key(self) -> tuple[CartanType, CartanType]:
@@ -136,18 +143,19 @@ def _entry_from_json(obj: dict, where: str) -> GoldenEntry:
         v_type=v_type,
         s_description=obj["s_description"],
         noncompact_dual=obj["noncompact_dual"],
-        equal_rank=obj["equal_rank"],
         table_rank=obj["table_rank"],
         table_dim_h=obj["table_dim_h"],
         degenerate=obj.get("degenerate", False),
     )
 
 
-def _validate_entries(entries: list[GoldenEntry], source: str) -> list[GoldenEntry]:
-    """Check the per-entry rank identity and per-ambient key uniqueness."""
+def _validate_entries(data: list, source: str) -> list[GoldenEntry]:
+    """Parse a file's entries, then check each one's ``equal_rank`` flag
+    against the entry's derived one and the per-ambient key uniqueness."""
+    entries = [_entry_from_json(obj, f"{source}, entry {i}") for i, obj in enumerate(data)]
     seen: dict[tuple[str, CartanType, CartanType], GoldenEntry] = {}
-    for e in entries:
-        if e.equal_rank != (e.l_type.total_rank == e.ambient.rank):
+    for obj, e in zip(data, entries):
+        if obj["equal_rank"] != e.equal_rank:
             raise GoldenDataError(
                 f"{source}: entry {e.label} of {e.ambient.label}: equal_rank flag "
                 f"contradicts rank accounting ({e.l_type.total_rank} vs {e.ambient.rank})"
@@ -191,20 +199,13 @@ def load_golden(path: str) -> list[GoldenEntry]:
         raise GoldenDataError(f"golden file {path} holds an integer with too many digits") from None
     if not isinstance(data, list):
         raise GoldenDataError(f"golden file {path} must hold a JSON array")
-    entries = [
-        _entry_from_json(obj, f"{path}, entry {i}") for i, obj in enumerate(data)
-    ]
-    return _validate_entries(entries, path)
+    return _validate_entries(data, path)
 
 
 @lru_cache(maxsize=None)
 def _bundled_exceptional() -> tuple[GoldenEntry, ...]:
     data = json.loads(_bundled_text("data/registry_exceptional.json"))
-    entries = [
-        _entry_from_json(obj, f"bundled exceptional registry, entry {i}")
-        for i, obj in enumerate(data)
-    ]
-    return tuple(_validate_entries(entries, "bundled exceptional registry"))
+    return tuple(_validate_entries(data, "bundled exceptional registry"))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +273,6 @@ def generate_classical(t: SimpleType) -> list[GoldenEntry]:
                 v_type=vt,
                 s_description=f"SO({r + 2})/[SO({r}) x SO(2)]",
                 noncompact_dual=f"SO({r},2)/[SO({r}) x SO(2)]",
-                equal_rank=lt.total_rank == n,
                 table_rank=table_rank,
                 table_dim_h=dim_h,
             )
@@ -292,7 +292,6 @@ def generate_classical(t: SimpleType) -> list[GoldenEntry]:
                     v_type=vt,
                     s_description=f"P^{u}(C) x P^{v}(C)",
                     noncompact_dual=f"H^{u}(C) x H^{v}(C)",
-                    equal_rank=True,
                     table_rank=table_rank,
                     table_dim_h=dim_h,
                     degenerate=u == 0,
@@ -308,7 +307,6 @@ def generate_classical(t: SimpleType) -> list[GoldenEntry]:
                 v_type=_ct([_unitary_type(m), _unitary_type(1)]),
                 s_description=f"U({n})/[U({m}) x U(1)] = P^{m}(C)",
                 noncompact_dual=f"U({m},1)/[U({m}) x U(1)] = H^{m}(C)",
-                equal_rank=True,
                 table_rank=1,
                 table_dim_h=m,
             )
@@ -326,7 +324,6 @@ def generate_classical(t: SimpleType) -> list[GoldenEntry]:
                     v_type=_ct([_unitary_type(rp), _unitary_type(2)]),
                     s_description=f"SU({rp + 2})/S(U({rp}) x U(2))",
                     noncompact_dual=f"SU({rp},2)/S(U({rp}) x U(2))",
-                    equal_rank=True,
                     table_rank=table_rank,
                     table_dim_h=dim_h,
                 )
@@ -349,14 +346,13 @@ def generate_classical(t: SimpleType) -> list[GoldenEntry]:
                         f"{{SO({u},2)/[SO({u}) x SO(2)]}} x "
                         f"{{SO({v},2)/[SO({v}) x SO(2)]}}"
                     ),
-                    equal_rank=lt.total_rank == n,
                     table_rank=table_rank,
                     table_dim_h=dim_h,
                     degenerate=u == 0,
                 )
             )
 
-    return _validate_entries(_merge_coincident(entries), f"{t.label} generator")
+    return _merge_coincident(entries)
 
 
 def _merge_coincident(entries: list[GoldenEntry]) -> list[GoldenEntry]:
@@ -364,24 +360,19 @@ def _merge_coincident(entries: list[GoldenEntry]) -> list[GoldenEntry]:
 
     Distinct parametric items can land on one isometric space (at D4 the
     2a Grassmannian equals the 2b(u=0) quadric); those are one form and
-    keep both labels.  Entries differing in equal_rank never merge.
+    keep both labels.  Keyed by ``key``, the merged list holds each (L, V)
+    pair once, so the generator's output needs no key check.
     """
-    merged: dict[tuple[bool, CartanType, CartanType], GoldenEntry] = {}
-    order: list[tuple[bool, CartanType, CartanType]] = []
+    merged: dict[tuple[CartanType, CartanType], GoldenEntry] = {}
     for e in entries:
-        k = (e.equal_rank, *e.key)
-        if k not in merged:
-            merged[k] = e
-            order.append(k)
-            continue
-        prev = merged[k]
-        merged[k] = replace(
+        prev = merged.get(e.key)
+        merged[e.key] = e if prev is None else replace(
             prev,
             label=f"{prev.label} = {e.label}",
             s_description=f"{prev.s_description} = {e.s_description}",
             degenerate=prev.degenerate or e.degenerate,
         )
-    return [merged[k] for k in order]
+    return list(merged.values())
 
 
 @lru_cache(maxsize=None)
@@ -397,23 +388,19 @@ def _bundled_for_type(t: SimpleType) -> tuple[GoldenEntry, ...]:
     return tuple(replace(e, l_type=one[e.l_type], v_type=one[e.v_type]) for e in entries)
 
 
-def golden_for_type(
-    t: SimpleType, path: str | None = None
-) -> tuple[list[GoldenEntry], bool]:
-    """Golden entries for one ambient type plus a baseline-found flag.
+def golden_for_type(t: SimpleType, path: str | None = None) -> list[GoldenEntry]:
+    """Golden entries for one ambient type.
 
     An explicit path wins and is read on every call; otherwise the bundled
     registry is used (data file for exceptional types, generator for
     classical families), sliced per ambient type once per process; it
-    holds entries for every graded type, so the flag is False only for a
-    file that lacks the type.  Every call returns a fresh list of the
-    (frozen) entries.
+    holds entries for every graded type, so the list is empty only for a
+    file that lacks the type, which leaves the type without a baseline.
+    Every call returns a fresh list of the (frozen) entries.
     """
     if path is not None:
-        entries = [e for e in load_golden(path) if e.ambient == t]
-    else:
-        entries = list(_bundled_for_type(t))
-    return entries, bool(entries)
+        return [e for e in load_golden(path) if e.ambient == t]
+    return list(_bundled_for_type(t))
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +490,41 @@ class FoundForm:
 
 @dataclass
 class ClassificationReport:
-    """Search outcome diffed against the golden baseline."""
+    """Search outcome diffed against the golden baseline.
+
+    Built from the ambient type, the found forms and the type's golden
+    entries; the diff is derived when the report is built, and again by
+    ``dataclasses.replace``.  The equal-rank entries are expected, the
+    others skipped.  An expected entry whose key no found form has is
+    missing, and a found form whose key no expected entry has is
+    unexpected, unless the golden list is empty: then the type has no
+    baseline and nothing is diffed.
+    """
 
     ambient: SimpleType
     found: list[FoundForm]
-    expected_equal_rank: list[GoldenEntry]
-    missing: list[GoldenEntry]
-    unexpected: list[FoundForm]
-    skipped_unequal_rank: list[GoldenEntry]
-    no_golden_baseline: bool = False
-    candidates: int = 0
+    golden: list[GoldenEntry]
+    expected_equal_rank: list[GoldenEntry] = field(init=False)
+    missing: list[GoldenEntry] = field(init=False)
+    unexpected: list[FoundForm] = field(init=False)
+    skipped_unequal_rank: list[GoldenEntry] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.expected_equal_rank = [e for e in self.golden if e.equal_rank]
+        self.skipped_unequal_rank = [e for e in self.golden if not e.equal_rank]
+        found_keys = {f.key for f in self.found}
+        expected_keys = {e.key for e in self.expected_equal_rank}
+        self.missing = [e for e in self.expected_equal_rank if e.key not in found_keys]
+        self.unexpected = [f for f in self.found if self.golden and f.key not in expected_keys]
+
+    @property
+    def no_golden_baseline(self) -> bool:
+        return not self.golden
+
+    @property
+    def candidates(self) -> int:
+        """The mod-2 coweight candidates: all 2^rank."""
+        return 1 << self.ambient.rank
 
     @property
     def ok(self) -> bool:
@@ -535,21 +547,22 @@ class ClassificationReport:
 def classify_equal_rank(
     rs: RootSystem, golden_path: str | None = None
 ) -> ClassificationReport:
-    """Scan one candidate per passing W_K-orbit, dedupe the forms, diff the registry.
+    """Scan one candidate per passing W_K-orbit, dedupe the forms, report them.
 
     Each witness of ``_orbit_table`` is analyzed; its verdict and (L, V)
     pair hold for its whole orbit, whose size is added to the form's
     multiplicity.  Witnesses come in lex order, so a form's witness is its
-    lex-smallest candidate; ``candidates`` counts all 2^rank.  At d = 2 the
-    circle test implies the dimension test: each grade-1 positive root beta
-    pairs with theta - beta, also a grade-1 positive root, and c(beta) +
-    c(theta - beta) = c(theta) = 1 mod 2, so exactly one root of each pair
-    lies in the centralizer and dim_C S = dim_H M.  A witness whose
+    lex-smallest candidate.  At d = 2 the circle test implies the dimension
+    test: each grade-1 positive root beta pairs with theta - beta, also a
+    grade-1 positive root, and c(beta) + c(theta - beta) = c(theta) = 1
+    mod 2, so exactly one root of each pair lies in the centralizer and
+    dim_C S = dim_H M.  A witness whose
     analysis says otherwise, or a nonzero step6 count, raises RuntimeError.
     The analysis is ``analyze``'s kernel, without the report.  The orbit
     table, the grading and each type's bundled registry slice are built
     once per process, so a repeated call pays only for analyzing the
-    witnesses, and builds no toral element.
+    witnesses, and builds no toral element.  The report, built here, diffs
+    the found forms against the registry.
     """
     gd = quaternionic_decomposition(rs)
     dim_h = gd.quaternionic_dim
@@ -567,24 +580,4 @@ def classify_equal_rank(
 
     order = sorted(forms, key=lambda k: (_name(k[0]), _name(k[1])))
     found = [FoundForm(*k, *forms[k]) for k in order]
-
-    golden, have_baseline = golden_for_type(rs.type, golden_path)
-    expected = [e for e in golden if e.equal_rank]
-    skipped = [e for e in golden if not e.equal_rank]
-    if have_baseline:
-        expected_keys = {e.key for e in expected}
-        missing = [e for e in expected if e.key not in forms]
-        unexpected = [f for f in found if f.key not in expected_keys]
-    else:
-        missing, unexpected = [], []
-
-    return ClassificationReport(
-        ambient=rs.type,
-        found=found,
-        expected_equal_rank=expected,
-        missing=missing,
-        unexpected=unexpected,
-        skipped_unequal_rank=skipped,
-        no_golden_baseline=not have_baseline,
-        candidates=1 << rs.rank,
-    )
+    return ClassificationReport(rs.type, found, golden_for_type(rs.type, golden_path))

@@ -32,7 +32,6 @@ from .rootsys import (
     node_set,
     parse_type,
     quaternionic_decomposition,
-    roots_to_json,
 )
 
 EXIT_OK = 0
@@ -137,7 +136,7 @@ def _run_roots(ns: argparse.Namespace) -> _Report:
         f"node set: {','.join(str(i) for i in nodes) or '-'}",
     ]
     if ns.dump_roots:
-        obj["positive_roots"] = roots_to_json(rs.positive_roots)
+        obj["positive_roots"] = [list(r) for r in rs.positive_roots]
         lines.append("positive root list:")
         lines.extend(json.dumps(r) for r in obj["positive_roots"])
     return obj, lines, EXIT_OK

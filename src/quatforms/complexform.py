@@ -21,7 +21,10 @@ NOT_COMPLEX_FORM = "not-complex-form"
 
 @dataclass(frozen=True)
 class ComplexFormAnalysis:
-    """Outcome of analyzing one toral element on one graded root system."""
+    """Outcome of analyzing one toral element on one graded root system.
+
+    dim_C S and dim_H M are derived from ``s_pos`` and ``m_count``.
+    """
 
     ambient: str
     sym: ToralElement
@@ -29,11 +32,17 @@ class ComplexFormAnalysis:
     v_type: CartanType
     s_pos: tuple[Root, ...]
     circle_ok: bool
-    dim_s: int
-    dim_h: int
     m_count: int
     step6_count: int
     verdict: str
+
+    @property
+    def dim_s(self) -> int:
+        return len(self.s_pos)
+
+    @property
+    def dim_h(self) -> int:
+        return self.m_count // 2
 
     @property
     def is_complex_form(self) -> bool:
@@ -131,7 +140,6 @@ def analyze(
     """Run the full pipeline: centralizer, grade slices, criteria, verdict.
     ``_analysis`` runs it on bitmasks; this builds the report."""
     l_type, v_type, circle_ok, s, step6 = _analysis(rs, gd, t)
-    dim_s, dim_h = s.bit_count(), gd.quaternionic_dim
     return ComplexFormAnalysis(
         ambient=rs.type.label,
         sym=t,
@@ -139,11 +147,9 @@ def analyze(
         v_type=v_type,
         s_pos=tuple(rs.positive_roots[x] for x in _bits(s)),
         circle_ok=circle_ok,
-        dim_s=dim_s,
-        dim_h=dim_h,
         m_count=len(gd.m_pos),
         step6_count=step6,
-        verdict=_verdict(circle_ok, dim_s, dim_h),
+        verdict=_verdict(circle_ok, s.bit_count(), gd.quaternionic_dim),
     )
 
 

@@ -62,7 +62,6 @@ _RANKS = {
     "F": range(4, 5),
     "G": range(2, 3),
 }
-FAMILIES = tuple(_RANKS)
 
 # Bases a toral element's coordinates may be given in.
 COROOT = "coroot"
@@ -528,11 +527,6 @@ def quaternionic_decomposition(rs: RootSystem) -> GradedDecomposition:
     if len(m_pos) % 2:
         raise RuntimeError(f"grade-1 part has odd size {len(m_pos)}")
     return GradedDecomposition(node_set=nodes, m_pos=tuple(m_pos), _rs=rs)
-
-
-def roots_to_json(roots: tuple[Root, ...] | list[Root]) -> list[list[int]]:
-    """Serialize a root list as JSON-ready integer vectors."""
-    return [list(r) for r in roots]
 
 
 @lru_cache(maxsize=None)

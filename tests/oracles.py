@@ -25,8 +25,11 @@ off one carry.  The analysis oracle
 is complexform.analyze as it ran on sets of root tuples, through
 Subsystem and recognize, before it moved to positive-root indices; the
 classification oracle analyzes every candidate with it instead of one
-per W_K-orbit.  The step6 oracle is the set formula complexform ran on
-every call before it read the grading's mirror set.  The orbit oracle is
+per W_K-orbit, and hands the forms it finds to the package's
+ClassificationReport, which derives the registry diff itself, so the
+oracle checks the search and not the diff.  The step6 oracle is the set
+formula complexform ran on every call before it read the grading's
+mirror set.  The orbit oracle is
 the W_K-orbit walk on coordinate tuples that classify ran before it walked
 ints, with s_theta's column from root-string pairings.
 The code table packs every root with rootsys._encode for the oracles
@@ -798,8 +801,7 @@ def analyze_via_subsystems(rs, gd, t):
     circle_ok = pairing(rs, t, theta) != 0
     rows = set(s_pos) | set(gd.m_pos)
     rows |= {tuple(x - y for x, y in zip(theta, beta)) for beta in s_pos}
-    dim_h = gd.quaternionic_dim
-    complex_form = circle_ok and len(s_pos) == dim_h
+    complex_form = circle_ok and len(s_pos) == gd.quaternionic_dim
     return ComplexFormAnalysis(
         ambient=rs.type.label,
         sym=t,
@@ -807,8 +809,6 @@ def analyze_via_subsystems(rs, gd, t):
         v_type=v_type,
         s_pos=s_pos,
         circle_ok=circle_ok,
-        dim_s=len(s_pos),
-        dim_h=dim_h,
         m_count=len(gd.m_pos),
         step6_count=len(rows) - len(gd.m_pos),
         verdict=COMPLEX_FORM if complex_form else NOT_COMPLEX_FORM,
@@ -821,8 +821,9 @@ def brute_force_classify(rs, golden_path=None):
     No orbit reduction: every candidate passing the circle and dimension
     screens is analyzed, by analyze_via_subsystems, and counted once, and
     the first (lex-smallest) candidate of each (L, V) pair is its witness.
-    The registry diff repeats the package's, so the report's to_json()
-    must equal the orbit scan's.
+    The found forms go into the package's ClassificationReport with the
+    type's golden entries, which diffs them as it does the orbit scan's, so
+    the report's to_json() must equal the orbit scan's.
     """
     from quatforms.classify import (
         ClassificationReport,
@@ -839,9 +840,7 @@ def brute_force_classify(rs, golden_path=None):
     found_order = []
     witnesses = {}
     counts = {}
-    n_candidates = 0
     for t in enumerate_involutions(rs):
-        n_candidates += 1
         if pairing(rs, t, theta) == 0:
             continue
         cent = centralizer_roots(rs, t)
@@ -864,25 +863,4 @@ def brute_force_classify(rs, golden_path=None):
         FoundForm(k[0], k[1], witnesses[k], counts[k])
         for k in sorted(found_order, key=lambda k: (k[0].render(), k[1].render()))
     ]
-
-    golden, have_baseline = golden_for_type(rs.type, golden_path)
-    expected = [e for e in golden if e.equal_rank]
-    skipped = [e for e in golden if not e.equal_rank]
-    if have_baseline:
-        found_keys = {f.key for f in found}
-        expected_keys = {e.key for e in expected}
-        missing = [e for e in expected if e.key not in found_keys]
-        unexpected = [f for f in found if f.key not in expected_keys]
-    else:
-        missing, unexpected = [], []
-
-    return ClassificationReport(
-        ambient=rs.type,
-        found=found,
-        expected_equal_rank=expected,
-        missing=missing,
-        unexpected=unexpected,
-        skipped_unequal_rank=skipped,
-        no_golden_baseline=not have_baseline,
-        candidates=n_candidates,
-    )
+    return ClassificationReport(rs.type, found, golden_for_type(rs.type, golden_path))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -94,6 +95,30 @@ def test_classify_e8_exactly_two_forms():
     assert keys == {("E7 A1", "E6 T1 T1"), ("D8", "A7 T1")}
 
 
+def test_derived_fields_follow_replace():
+    """The registry diff, an entry's equal_rank and the analysis dimensions
+    are derived, so dataclasses.replace recomputes them."""
+    rs = _rs("E8")
+    rep = classify_equal_rank(rs)
+    lost = dataclasses.replace(rep, found=[])
+    assert lost.missing == lost.expected_equal_rank and len(lost.missing) == 2
+    assert not lost.ok and lost.unexpected == []
+    bare = dataclasses.replace(rep, golden=[])
+    assert bare.no_golden_baseline and bare.unexpected == [] and bare.missing == []
+    assert bare.ok and bare.to_json()["found"] == rep.to_json()["found"]
+
+    entry = golden_for_type(rs.type)[0]
+    assert entry.equal_rank
+    lower = dataclasses.replace(entry, l_type=CartanType.of("E6"))
+    assert lower.l_type.total_rank < rs.rank and not lower.equal_rank
+
+    gd = quaternionic_decomposition(rs)
+    a = analyze(rs, gd, ToralElement((0,) * 7 + (1,), 2, "coroot"))
+    empty = dataclasses.replace(a, s_pos=())
+    assert empty.dim_s == 0 and empty.to_json()["s_count"] == 0
+    assert empty.dim_h == a.dim_h == 28
+
+
 def test_zero_candidate_never_reported():
     for label in ("G2", "A3", "B3"):
         rep = classify_equal_rank(_rs(label))
@@ -160,7 +185,8 @@ _ORBIT_COUNTS = {
 
 @pytest.mark.parametrize("label", GRADED_LABELS)
 def test_orbit_scan_matches_brute_force(label):
-    """Found forms, witnesses, multiplicities and candidates equal the full scan."""
+    """Found forms, witnesses and multiplicities equal the full scan's, and so
+    does the registry diff the report derives from them."""
     rs = _rs(label)
     assert classify_equal_rank(rs).to_json() == brute_force_classify(rs).to_json()
 
@@ -284,29 +310,29 @@ def test_registry_lists_are_fresh_per_call():
     get their own lists."""
     assert _bundled_exceptional() is _bundled_exceptional()
     e8 = parse_type("E8")
-    entries, found = golden_for_type(e8)
-    assert found and all(a is b for a, b in zip(entries, golden_for_type(e8)[0]))
+    entries = golden_for_type(e8)
+    assert entries and all(a is b for a, b in zip(entries, golden_for_type(e8)))
     entries.pop()
-    assert len(golden_for_type(e8)[0]) == 2
+    assert len(golden_for_type(e8)) == 2
 
 
 @pytest.mark.parametrize("label", EXCEPTIONAL_LABELS)
 def test_exceptional_registry_slice_matches_a_filter(label):
     """Each type's slice holds the bundled entries of that type, in file order."""
     t = parse_type(label)
-    entries, found = golden_for_type(t)
-    assert found and entries == [e for e in _bundled_exceptional() if e.ambient.label == label]
+    entries = golden_for_type(t)
+    assert entries and entries == [e for e in _bundled_exceptional() if e.ambient.label == label]
 
 
 @pytest.mark.parametrize("label", [s for s in GRADED_LABELS if s[0] in CLASSICAL_FAMILIES])
 def test_classical_registry_is_generated_once_and_lists_are_fresh(label):
     t = parse_type(label)
-    first, found = golden_for_type(t)
-    assert found and first == generate_classical(t)
-    second = golden_for_type(t)[0]
+    first = golden_for_type(t)
+    assert first and first == generate_classical(t)
+    second = golden_for_type(t)
     assert all(a is b for a, b in zip(first, second))  # generated once
     first.clear()
-    assert golden_for_type(t)[0] == second
+    assert golden_for_type(t) == second
 
 
 @pytest.mark.parametrize("label", GRADED_LABELS)
@@ -365,8 +391,8 @@ def test_generator_rejects_a1():
 def test_table_dim_matches_decomposition():
     for label in ("A5", "B6", "C4", "D5", "E7"):
         t = parse_type(label)
-        entries, found = golden_for_type(t)
-        assert found
+        entries = golden_for_type(t)
+        assert entries
         dim = quaternionic_decomposition(_rs(label)).quaternionic_dim
         for e in entries:
             assert e.table_dim_h == dim
@@ -508,7 +534,7 @@ def test_classify_without_baseline_still_lists_forms(tmp_path):
 def test_every_graded_type_has_a_bundled_baseline(label):
     """Every graded type, up to the rank cap, is checked against the
     bundled registry, and its search finds exactly the registry's forms."""
-    assert golden_for_type(parse_type(label))[1]
+    assert golden_for_type(parse_type(label))
     rep = classify_equal_rank(_rs(label))
     assert rep.ok and not rep.no_golden_baseline
 

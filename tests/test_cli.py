@@ -453,7 +453,7 @@ def _fuzz_golden_files(tmp_path, n: int) -> list[Path]:
     from quatforms.rootsys import SimpleType
 
     rng = random.Random("golden-file-fuzz")
-    entries = [e.to_json() for e in golden_for_type(SimpleType("G", 2))[0]]
+    entries = [e.to_json() for e in golden_for_type(SimpleType("G", 2))]
     text = json.dumps(entries).encode()
     wrong = [None, True, 0, -1, 2.5, "", "G2", [], {}, [{"family": "A"}], {"rank": 1}]
     other_v = [b'"components": [{"family": "%s", "rank": 2}]' % f for f in (b"A", b"G")]

@@ -60,8 +60,12 @@ CASES = {
     "classify_E6": ["classify", "E6"],
     "classify_A9": ["classify", "A9"],
     "classify_G2_decoy": ["classify", "G2", "--golden", "{decoy}"],
+    "classify_G2_decoy_json": ["classify", "G2", "--golden", "{decoy}", "--json"],
     # The decoy file holds no F4 entry, so F4 has no baseline to diff.
     "classify_F4_no_baseline": ["classify", "F4", "--golden", "{decoy}"],
+    "classify_F4_no_baseline_json": [
+        "classify", "F4", "--golden", "{decoy}", "--json",
+    ],
     "table": ["table"],
     "table_json": ["table", "--json"],
     "cases": ["cases"],

@@ -20,7 +20,6 @@ from quatforms.rootsys import (
     _COEFF_BOUND,
     _check_coefficient_bound,
     _encode,
-    roots_to_json,
 )
 
 from conftest import GRADED_LABELS, SUPPORTED_LABELS
@@ -493,8 +492,3 @@ def test_grading_agrees_with_highest_coroot(label):
         g = grade(rs, gd.node_set, alpha)
         p = pairing_with_coroot(rs, alpha, theta)
         assert p == g
-
-
-def test_roots_to_json():
-    g2 = build_root_system(parse_type("G2"))
-    assert roots_to_json(g2.positive_roots)[0] == [0, 1]

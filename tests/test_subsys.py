@@ -23,9 +23,9 @@ from quatforms import (
 from quatforms.involution import _pairing_values
 from quatforms.rootsys import (
     CLASSICAL_RANK_CAP,
-    FAMILIES,
     InvalidTypeError,
     SimpleType,
+    _RANKS,
     _cartan_matrix,
     grade,
     quaternionic_decomposition,
@@ -545,7 +545,7 @@ def test_diagram_table_holds_every_type_of_its_rank(rank):
     """In the diagram-key oracle, every buildable type is found under its
     own diagram, and only the low-rank aliases A3/D3 and B2/C2 share a key."""
     types = []
-    for family in FAMILIES:
+    for family in _RANKS:
         try:
             types.append(SimpleType(family, rank))
         except InvalidTypeError:
@@ -570,7 +570,7 @@ def test_diagram_key_ints_count_each_neighbour_class(rank):
     from collections import Counter
 
     classes = {v: (*ENTRIES[li, lj], d) for (li, lj, d), v in EDGE_CLASSES.items()}
-    for family in FAMILIES:
+    for family in _RANKS:
         try:
             adj, lengths = _cartan_diagram(SimpleType(family, rank))
         except InvalidTypeError:
@@ -622,7 +622,7 @@ def test_count_table_holds_every_type_of_its_rank(rank):
     A3/D3 and B2/C2 share a key, and the table holds no other key."""
     table = _count_types(rank)
     by_key = {}
-    for family in FAMILIES:
+    for family in _RANKS:
         try:
             t = SimpleType(family, rank)
         except InvalidTypeError:
