@@ -204,7 +204,8 @@ def load_golden(path: str) -> list[GoldenEntry]:
 
 @lru_cache(maxsize=None)
 def _bundled_exceptional() -> tuple[GoldenEntry, ...]:
-    data = json.loads(_bundled_text("data/registry_exceptional.json"))
+    text = _bundled_text("data/registry_exceptional.json")
+    data = json.loads(text, object_pairs_hook=_unique_keys)
     return tuple(_validate_entries(data, "bundled exceptional registry"))
 
 
@@ -377,15 +378,10 @@ def _merge_coincident(entries: list[GoldenEntry]) -> list[GoldenEntry]:
 
 @lru_cache(maxsize=None)
 def _bundled_for_type(t: SimpleType) -> tuple[GoldenEntry, ...]:
-    """The bundled registry's entries for one ambient type, their types the
-    instances the search finds (``CartanType._of_table_parts``)."""
+    """The bundled registry's entries for one ambient type."""
     if t.family in CLASSICAL_FAMILIES:
-        entries = generate_classical(t)
-    else:
-        entries = [e for e in _bundled_exceptional() if e.ambient == t]
-    types = {ct for e in entries for ct in e.key}
-    one = {ct: CartanType._of_table_parts(ct.components, ct.torus_rank) for ct in types}
-    return tuple(replace(e, l_type=one[e.l_type], v_type=one[e.v_type]) for e in entries)
+        return tuple(generate_classical(t))
+    return tuple(e for e in _bundled_exceptional() if e.ambient == t)
 
 
 def golden_for_type(t: SimpleType, path: str | None = None) -> list[GoldenEntry]:

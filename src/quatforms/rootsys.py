@@ -4,8 +4,8 @@ A root is an integer coefficient vector over the simple roots.  Simple roots
 are numbered 1..rank following Bourbaki (plates I-IX); all public indices in
 this package are 1-based Bourbaki indices.  Cartan pairings come from the
 Cartan matrix, linear in the first root (<a, alpha_i-check> is a's
-coefficients against column i), and across two roots from their integer
-squared lengths, so all arithmetic stays on integer coefficient vectors.
+coefficients against column i), so all arithmetic stays on integer
+coefficient vectors.
 
 Roots are tuples at every API; past it a root is its index in
 ``positive_roots`` (``RootSystem._index``, with ~x for the negative of
@@ -17,17 +17,19 @@ injective on vectors with |c_j| <= 15.  Every root coefficient is checked
 to satisfy |c| <= 7 (E8's highest root has 6), so every sum or difference
 of two roots, and every step of a root-string walk, keeps its code unique.
 
-On first use only (never at import or in build_root_system) a RootSystem
-caches the index and a parent table that writes each non-simple positive
-root as an earlier positive root plus one simple root (Humphreys, 10.2),
-so anything linear in the root, such as a toral pairing, costs one
-addition per positive root; a table of the positive sum triples alpha +
-beta = gamma, as per-root masks whose sum over a root set gives its
-closure check and base in a few big-int operations, and per coordinate,
-the masks of the roots with an odd coefficient; and each positive root's
-squared length, for the pairings across a base diagram's edges.  None of
-these tables leaves the package.  A GradedDecomposition derives the mask
-of its grade-1 roots from ``m_pos``, so grade slices are mask operations.
+A RootSystem records only its type.  Its Cartan matrix, positive roots
+and per-root tables derive from it on first use (``build_root_system``
+builds the roots; nothing is built at import): the index; a parent table
+that writes each non-simple positive root as an earlier positive root
+plus one simple root (Humphreys, 10.2), so anything linear in the root,
+such as a toral pairing, costs one addition per positive root; a table of
+the positive sum triples alpha + beta = gamma, as per-root masks whose
+sum over a root set gives its closure check and base in a few big-int
+operations, and per coordinate, the masks of the roots with an odd
+coefficient; and the short roots, those whose sum and difference with
+one positive root are both roots.  None of these tables leaves the
+package.  A GradedDecomposition derives its node set from its root
+system and its grade-1 mask from ``m_pos``.
 
 The highest root defines a grading by its attach node(s) in the extended
 diagram: grade 1 cuts out the tangent part of the quaternionic symmetric
@@ -78,17 +80,16 @@ class GradingError(ValueError):
     """Raised when a root system admits no quaternionic node grading."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SimpleType:
-    """A simple Cartan type: family letter A-G plus rank."""
+    """A simple Cartan type: family letter A-G plus rank, an int (no bool)."""
 
     family: str
     rank: int
-    # (-rank, family): the order of components in a CartanType
-    _order: tuple[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_order", (-self.rank, self.family))
+        if type(self.rank) is not int:
+            raise TypeError(f"rank {self.rank!r} is not an integer")
         ranks = _RANKS.get(self.family)
         if ranks is None:
             raise InvalidTypeError(
@@ -244,24 +245,32 @@ def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A simple root system with its Cartan data and highest root.
-
-    Immutable; positive roots are ordered by height then lexicographically
-    by coefficients, which places the highest root last.  The hash (taken
-    by per-type caches on every call) reads the type alone, which fixes the rest.
-    """
+    """The root system of a simple type, its one field: equality and hash
+    read the type, and the rest derives from it on first use.  Positive
+    roots are ordered by height, then lexicographically, so theta is last."""
 
     type: SimpleType
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...]
-    highest_root: Root
-
-    def __hash__(self) -> int:
-        return hash(self.type)
 
     @property
     def rank(self) -> int:
         return self.type.rank
+
+    @cached_property
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        return _cartan_matrix(self.type)
+
+    @cached_property
+    def positive_roots(self) -> tuple[Root, ...]:
+        """Refuses a root past the coefficient bound and a tied top height."""
+        label, pos = self.type.label, _generate_positive_roots(self.cartan)
+        _check_coefficient_bound(label, pos)
+        if len(pos) > 1 and sum(pos[-2]) == sum(pos[-1]):
+            raise RuntimeError(f"highest root of {label} is not unique")
+        return tuple(pos)
+
+    @property
+    def highest_root(self) -> Root:
+        return self.positive_roots[-1]
 
     @cached_property
     def root_set(self) -> frozenset[Root]:
@@ -372,22 +381,19 @@ class RootSystem:
         return ((1 << len(pos)) - 1, sum(roles)), tuple(pairs)
 
     @cached_property
-    def _sq_lengths(self) -> tuple[int, ...]:
-        """Squared length of each positive root, short roots 1: ``_simple_lengths``,
-        then |b + a_i|^2 = |b|^2 + |a_i|^2 (1 + <b, a_i-check>) along
-        ``_parents``, carrying each root's pairing row."""
-        a, n = self.cartan, self.rank
-        d = _simple_lengths(a)
-        rows, lengths = [a[i] for i in reversed(range(n))], d[::-1]
-        for p, i in self._parents:
-            rows.append(tuple(map(add, rows[p], a[i])))
-            lengths.append(lengths[p] + d[i] * (1 + rows[p][i]))
-        return tuple(lengths)
-
-    @cached_property
     def _short_mask(self) -> int:
-        """Mask of the short positive roots, squared length 1 in ``_sq_lengths``."""
-        return sum([1 << x for x, d in enumerate(self._sq_lengths) if d == 1])
+        """Mask of the short positive roots, the x with sums[x] & diffs[x]
+        (``_triple_masks``); 0 in a simply laced type.
+
+        Lemma: a positive root x is short exactly when x + y and |x - y| are
+        roots for some positive y.  A long x has |<y, x-check>| <= 1 for
+        every root y != +-x, so no x-string holds three roots (Humphreys
+        9.4).  The property is W-invariant (negate y if need be) and the
+        short roots form one W-orbit (Humphreys 10.4): e_1, e_2 in B2 (so
+        in B_n, C_n and F4) and alpha_1, alpha_1 + alpha_2 in G2 suffice.
+        """
+        _, sums, diffs, *_ = self._triple_masks
+        return sum([1 << x for x, (s, d) in enumerate(zip(sums, diffs)) if s & d])
 
     @cached_property
     def simple_roots(self) -> tuple[Root, ...]:
@@ -397,30 +403,17 @@ class RootSystem:
     def is_root(self, v: Root) -> bool:
         return v in self._index
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RootSystem({self.type.label}, {len(self.positive_roots)} positive roots)"
-
 
 @lru_cache(maxsize=None)
 def build_root_system(t: SimpleType) -> RootSystem:
-    """Construct the root system of a simple type.
+    """The root system of a simple type, its roots built and checked.
 
     The result is cached and shared: RootSystem is immutable and all
     operations on it are pure.
     """
-    cartan = _cartan_matrix(t)
-    pos = _generate_positive_roots(cartan)
-    _check_coefficient_bound(t.label, pos)
-    highest = pos[-1]
-    top_height = sum(highest)
-    if sum(1 for r in pos if sum(r) == top_height) != 1:
-        raise RuntimeError(f"highest root of {t.label} is not unique")
-    return RootSystem(
-        type=t,
-        cartan=cartan,
-        positive_roots=tuple(pos),
-        highest_root=highest,
-    )
+    rs = RootSystem(t)
+    rs.positive_roots
+    return rs
 
 
 def node_set(rs: RootSystem) -> frozenset[int]:
@@ -454,22 +447,26 @@ class GradedDecomposition:
 
     Grade 1 spans the tangent space of the quaternionic symmetric space
     G/K built on the highest root; grades 0 and 2 span the isotropy
-    algebra.  The highest root is the unique root of grade 2.  ``m_pos``,
-    distinct positive roots of ``_rs`` other than it, is the one record of
-    the grade-1 roots: ``k_pos``, dim_H and the index masks derive from it.
+    algebra.  The highest root is the unique root of grade 2.  The node
+    set derives from ``_rs``, and ``m_pos``, distinct positive roots of
+    ``_rs`` other than theta, is the one record of the grade-1 roots:
+    ``k_pos``, dim_H and the index masks derive from it.
     """
 
-    node_set: frozenset[int]
     m_pos: tuple[Root, ...]
-    _rs: RootSystem = field(repr=False, compare=False)
+    _rs: RootSystem = field(repr=False)
 
     def __post_init__(self) -> None:
-        index, label = self._rs._index, self._rs.type.label
+        index, label, theta = self._rs._index, self._rs.type.label, self._rs.highest_root
         for r in self.m_pos:
-            if index.get(r, -1) < 0 or r == self._rs.highest_root:
+            if index.get(r, -1) < 0 or r == theta:
                 raise GradingError(f"m_pos holds {r}, no positive root of {label} below theta")
         if len(set(self.m_pos)) < len(self.m_pos):
             raise GradingError(f"m_pos repeats a root of {label}")
+
+    @cached_property
+    def node_set(self) -> frozenset[int]:
+        return node_set(self._rs)
 
     @cached_property
     def k_pos(self) -> tuple[Root, ...]:
@@ -526,7 +523,7 @@ def quaternionic_decomposition(rs: RootSystem) -> GradedDecomposition:
         raise RuntimeError("grade-2 part is not the highest root alone")
     if len(m_pos) % 2:
         raise RuntimeError(f"grade-1 part has odd size {len(m_pos)}")
-    return GradedDecomposition(node_set=nodes, m_pos=tuple(m_pos), _rs=rs)
+    return GradedDecomposition(m_pos=tuple(m_pos), _rs=rs)
 
 
 @lru_cache(maxsize=None)

@@ -16,14 +16,15 @@ roots, looked up in a per-rank table built from Coxeter numbers and the
 Cartan matrices that build the root systems (``rootsys._cartan_matrix``).
 Both steps are kernels on bitmasks (``_closed_base``, ``_type_of``):
 ``Subsystem`` and ``recognize`` wrap them for root-tuple sets, and
-``complexform.analyze`` calls them directly.
+``complexform.analyze`` calls them directly.  Types come back through
+``CartanType``'s constructor as one shared instance per type, so the
+search and the registry diff compare them by identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .rootsys import (
@@ -172,46 +173,38 @@ _LOW_RANK_ALIASES = {
     ("D", 2): (("A", 1), ("A", 1)),
     ("D", 3): (("A", 3),),
 }
-_ORDER = attrgetter("_order")  # components by -rank, then family
 
 
 def normalize_components(parts: Iterable[SimpleType | tuple[str, int]]) -> tuple[SimpleType, ...]:
-    """Apply ``_LOW_RANK_ALIASES``, reusing unaliased SimpleTypes; sort by -rank, family."""
+    """Apply ``_LOW_RANK_ALIASES`` to int ranks, reusing SimpleTypes; sort by -rank, family."""
     out: list[SimpleType] = []
     for part in parts:
         pair = (part.family, part.rank) if isinstance(part, SimpleType) else part
+        if type(pair[1]) is not int:
+            raise TypeError(f"rank {pair[1]!r} is not an integer")
         for t in _LOW_RANK_ALIASES.get(pair, (part,)):
             out.append(t if isinstance(t, SimpleType) else SimpleType(*t))
-    out.sort(key=_ORDER)
+    out.sort(key=lambda t: (-t.rank, t.family))
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CartanType:
-    """A multiset of simple components plus a torus rank.
+    """A multiset of simple components plus a torus rank, an int >= 0.
 
-    Torus factors are counted, not located; comparisons always use the
-    normalized component list.
+    Torus factors are counted, not located.  The constructor, the one way
+    to build a type, normalizes the components and returns one shared
+    instance per type, as do copies and pickles; equality is identity.
     """
 
     components: tuple[SimpleType, ...]
-    torus_rank: int = 0
+    torus_rank: int
 
-    def __post_init__(self) -> None:
-        if self.torus_rank < 0:
-            raise ValueError("torus rank must be nonnegative")
-        normalized = normalize_components(self.components)
-        object.__setattr__(self, "components", normalized)
-        object.__setattr__(self, "_hash", hash((normalized, self.torus_rank)))
+    def __new__(cls, components: Iterable = (), torus_rank: int = 0) -> CartanType:
+        return _by_parts(tuple(components), torus_rank)
 
-    @classmethod
-    def _of_table_parts(cls, parts: list[SimpleType], torus_rank: int) -> "CartanType":
-        """The type of components from ``_count_types``, which holds no
-        low-rank alias: sorted, with no alias lookup, as its one instance."""
-        return _interned(tuple(sorted(parts, key=_ORDER)), torus_rank)
-
-    def __hash__(self) -> int:  # cached: classify keys dicts by (L, V) pairs
-        return self._hash
+    def __reduce__(self) -> tuple:
+        return CartanType, (self.components, self.torus_rank)
 
     @property
     def semisimple_rank(self) -> int:
@@ -266,12 +259,22 @@ class CartanType:
         return self.render()
 
 
+@lru_cache(maxsize=None, typed=True)
+def _by_parts(parts: tuple, torus_rank: int) -> CartanType:
+    """``CartanType``'s instance for its raw arguments; typed, so that a
+    torus rank True or 1.0 misses the entry for 1 and is refused."""
+    if type(torus_rank) is not int:
+        raise TypeError(f"torus rank {torus_rank!r} is not an integer")
+    if torus_rank < 0:
+        raise ValueError("torus rank must be nonnegative")
+    return _by_components(normalize_components(parts), torus_rank)
+
+
 @lru_cache(maxsize=None)
-def _interned(comps: tuple[SimpleType, ...], torus_rank: int) -> CartanType:
-    """One instance per type, so that the search's dict hits and the diff
-    against the bundled registry compare by identity, not by ``__eq__``."""
+def _by_components(components: tuple[SimpleType, ...], torus_rank: int) -> CartanType:
+    """The one instance of each normalized type."""
     self = object.__new__(CartanType)
-    vars(self).update(components=comps, torus_rank=torus_rank, _hash=hash((comps, torus_rank)))
+    vars(self).update(components=components, torus_rank=torus_rank)
     return self
 
 
@@ -321,7 +324,8 @@ def _type_of(ambient: RootSystem, base: int, members: int) -> CartanType:
     root, or x = y; ``RootSystem._triple_masks``), refusing two nodes that
     differ by a root.  A component's roots are the members near one of its
     nodes, and it is typed by (k, N, s), its node count, root count and
-    short nodes mod k, in ``_count_types(k)``.
+    short nodes (``RootSystem._short_mask``) mod k, in ``_count_types(k)``;
+    the type is the constructor's shared instance.
 
     Lemma: a member y lies in base node b's component exactly when y +- b is
     a root, or y = b, for some b in that component.  y pairs nonzero with
@@ -364,4 +368,4 @@ def _type_of(ambient: RootSystem, base: int, members: int) -> CartanType:
         raise UnclassifiableSubsystemError("base components do not cover the subsystem")
     if None in parts:
         raise UnclassifiableSubsystemError("base component matches no simple type")
-    return CartanType._of_table_parts(parts, ambient.rank - base.bit_count())
+    return CartanType(parts, ambient.rank - base.bit_count())

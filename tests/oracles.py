@@ -32,6 +32,11 @@ formula complexform ran on every call before it read the grading's
 mirror set.  The orbit oracle is
 the W_K-orbit walk on coordinate tuples that classify ran before it walked
 ints, with s_theta's column from root-string pairings.
+The length walk (``root_sq_lengths``) is each positive root's squared
+length as RootSystem cached it, along the parent table, before the
+package read its short roots off the sum and difference masks: it is the
+reference for ``RootSystem._short_mask`` and gives the root lengths the
+diagram-key oracle reads.
 The code table packs every root with rootsys._encode for the oracles
 that walk packed codes; the package itself packs roots only while it
 builds its root and sum-triple tables.  coroot_pairing and
@@ -356,6 +361,26 @@ def length_pairing(cartan):
     return pairing
 
 
+@lru_cache(maxsize=None)
+def root_sq_lengths(rs) -> tuple[int, ...]:
+    """Squared length of each positive root of rs, short roots 1.
+
+    The walk ``RootSystem._sq_lengths`` ran before the package read its
+    short roots off the sum and difference masks: ``_simple_lengths``, then
+    |b + a_i|^2 = |b|^2 + |a_i|^2 (1 + <b, a_i-check>) along
+    ``RootSystem._parents``, carrying each root's pairing row.
+    """
+    from quatforms.rootsys import _simple_lengths
+
+    a, n = rs.cartan, rs.rank
+    d = _simple_lengths(a)
+    rows, lengths = [a[i] for i in reversed(range(n))], d[::-1]
+    for p, i in rs._parents:
+        rows.append(tuple(x + y for x, y in zip(rows[p], a[i])))
+        lengths.append(lengths[p] + d[i] * (1 + rows[p][i]))
+    return tuple(lengths)
+
+
 def tree_certificate_type(sub):
     """Cartan type of a subsystem, read off a certificate of its base tree.
 
@@ -578,7 +603,7 @@ def diagram_base_type(ambient, base):
     ran before they counted roots."""
     from quatforms.subsys import CartanType
 
-    parts = diagram_components(base_adjacency(ambient, base), ambient._sq_lengths)
+    parts = diagram_components(base_adjacency(ambient, base), root_sq_lengths(ambient))
     return CartanType(tuple(parts), ambient.rank - len(base))
 
 

@@ -316,6 +316,23 @@ def test_registry_lists_are_fresh_per_call():
     assert len(golden_for_type(e8)) == 2
 
 
+def test_bundled_registry_refuses_a_repeated_key(monkeypatch):
+    """The bundled registry is parsed by load_golden's rule: a key repeated
+    in one object is refused, not kept at its last value."""
+    from quatforms import classify
+
+    text = classify._bundled_text("data/registry_exceptional.json")
+    repeated = text.replace('"label": ', '"label": "4x", "label": ', 1)
+    monkeypatch.setattr(classify, "_bundled_text", lambda name: repeated)
+    _bundled_exceptional.cache_clear()
+    message = "repeats the key 'label' in one object"
+    try:
+        with pytest.raises(GoldenDataError, match=f"^{re.escape(message)}$"):
+            _bundled_exceptional()
+    finally:
+        _bundled_exceptional.cache_clear()
+
+
 @pytest.mark.parametrize("label", EXCEPTIONAL_LABELS)
 def test_exceptional_registry_slice_matches_a_filter(label):
     """Each type's slice holds the bundled entries of that type, in file order."""
@@ -577,17 +594,16 @@ def test_classify_reports_match_pinned_digests():
 
 
 def test_types_found_are_one_instance_per_type():
-    """The kernel's types are one instance per type, shared with the bundled
-    registry, so classify's dict hits and registry diff compare by identity;
-    types built by from_json and CartanType.of still compare and hash equal."""
+    """The kernel's types are the constructor's one instance per type, shared
+    with the bundled registry, so classify's dict hits and registry diff
+    compare by identity; from_json and CartanType.of return that instance."""
     e7, a1 = SimpleType("E", 7), SimpleType("A", 1)
-    table = CartanType._of_table_parts([a1, e7], 0)
-    assert CartanType._of_table_parts([e7, a1], 0) is table
+    table = CartanType([a1, e7], 0)
+    assert CartanType([e7, a1], 0) is table
     for built in (CartanType.of("A1", "E7"), CartanType.from_json(table.to_json())):
-        assert built == table and table == built and hash(built) == hash(table)
-        assert CartanType._of_table_parts(built.components, built.torus_rank) is table
-        assert {built: 1}[table] == 1 and {table: 1}[built] == 1
-    assert CartanType._of_table_parts([e7, a1], 1) != table
+        assert built is table
+        assert CartanType(built.components, built.torus_rank) is table
+    assert CartanType([e7, a1], 1) != table
     for label in ("E8", "D9"):
         rep = classify_equal_rank(_rs(label))
         registry = {e.key: e for e in rep.expected_equal_rank}

@@ -214,10 +214,16 @@ def _bad_rank_golden(where, value):
         _bad_rank_golden("family", "AB"),
         b'[{"label": "\xff"}]',
         _bad_rank_golden("rank", "9" * 5000),
+        "[1]",
+        _bad_rank_golden("ambient", "E9"),
+        _bad_rank_golden("ambient", "B1"),
+        _bad_rank_golden("torus_rank", "-1"),
     ],
     ids=[
         "deep-nesting", "rank-overflow", "rank-bool", "torus-rank-float",
         "unknown-ambient", "unknown-family", "not-utf8", "rank-past-digit-limit",
+        "entry-not-object", "ambient-E9-not-buildable", "ambient-B1-not-buildable",
+        "torus-rank-negative",
     ],
 )
 def test_classify_malformed_golden_exits_2(tmp_path, capsys, text):
@@ -238,6 +244,15 @@ def test_classify_malformed_golden_exits_2(tmp_path, capsys, text):
         assert f"{path}, entry 0: bad Cartan type: unknown family 'AB'" in err
     if "9" * 5000 in str(text):
         assert err.endswith(f"golden file {path} holds an integer with too many digits\n")
+    refusals = {
+        "[1]": "entry must be an object, got int",
+        '"E9"': "bad ambient type: rank 9 out of range for family E; valid ranks are 6, 7, 8",
+        '"B1"': "bad ambient type: rank 1 out of range for family B; valid ranks are 2..10",
+        '"torus_rank": -1': "bad Cartan type: torus rank must be nonnegative",
+    }
+    for needle, message in refusals.items():
+        if needle in str(text):
+            assert err.endswith(f"{path}, entry 0: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from oracles import (
     positive_part,
     reflection_closure,
     root_code_table,
+    root_sq_lengths,
     squared_lengths,
 )
 
@@ -53,6 +54,14 @@ def test_simple_type_rejects_unknown_family(family):
     message = f"unknown family {family!r}; valid families are A-G"
     with pytest.raises(InvalidTypeError, match=f"^{re.escape(message)}$"):
         SimpleType(family, 3)
+
+
+@pytest.mark.parametrize("rank", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_simple_type_rejects_a_rank_that_is_no_int(rank):
+    """A rank equal to a valid int, but of another type, is refused rather
+    than labelled, e.g. ATrue or A1.0."""
+    with pytest.raises(TypeError, match=f"^rank {re.escape(repr(rank))} is not an integer$"):
+        SimpleType("A", rank)
 
 
 # The tail of each rejection message: the family's valid ranks.
@@ -325,7 +334,7 @@ def test_squared_length_table_matches_length_oracle(label):
     a, n = rs.cartan, rs.rank
     s = [int(3 * x) for x in squared_lengths(a)]  # long roots 6, G2's short 2
     pairing = length_pairing(a)
-    table, theta = rs._sq_lengths, rs.highest_root
+    table, theta = root_sq_lengths(rs), rs.highest_root
     assert min(table) == 1
     for r, length in zip(rs.positive_roots, table):
         # (r, r) = sum of r_i r_j (alpha_i, alpha_j), and (alpha_i, alpha_j) = a_ij s_j / 6
@@ -347,6 +356,37 @@ def test_root_system_hashes_by_type_and_compares_by_field():
     copy = RootSystem(**{f.name: getattr(rs, f.name) for f in fields(rs)})
     assert copy is not rs and copy == rs and hash(copy) == hash(rs)
     assert quaternionic_decomposition(copy) is quaternionic_decomposition(rs)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS)
+def test_root_system_derives_everything_from_its_type(label):
+    """A root system's one field is its type: one built directly equals the
+    one build_root_system returns, with the same Cartan matrix, roots and
+    highest root, the last positive root."""
+    from quatforms.rootsys import RootSystem
+
+    t = parse_type(label)
+    assert [f.name for f in dataclasses.fields(RootSystem)] == ["type"]
+    rs, built = RootSystem(t), build_root_system(t)
+    assert rs == built and rs is not built
+    assert (rs.cartan, rs.positive_roots, rs.highest_root) == (
+        built.cartan, built.positive_roots, built.highest_root
+    )
+    assert rs.highest_root == max(rs.positive_roots, key=sum)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS)
+def test_short_mask_matches_the_length_walk(label):
+    """The short roots read off the sum and difference masks are the length
+    walk's roots of squared length 1 in a doubly laced type; a simply laced
+    one, where every root has length 1, has none."""
+    rs = build_root_system(parse_type(label))
+    lengths = root_sq_lengths(rs)
+    if label[0] in "ADE":
+        assert set(lengths) == {1} and rs._short_mask == 0
+    else:
+        assert set(lengths) == {1, 3 if label == "G2" else 2}
+        assert rs._short_mask == sum([1 << x for x, d in enumerate(lengths) if d == 1])
 
 
 def test_codes_distinct_on_sums_of_bounded_vectors():
@@ -456,13 +496,15 @@ def test_grade2_singleton_and_partition(label):
 
 
 def test_grading_derives_k_and_dim_from_m_pos():
-    """m_pos is the one record of m: a grading holds no k_pos or dim_H field
-    that could contradict it, and a replaced m_pos moves both."""
-    assert [f.name for f in dataclasses.fields(GradedDecomposition)] == ["node_set", "m_pos", "_rs"]
+    """m_pos is the one record of m: a grading holds no k_pos, dim_H or node
+    set field that could contradict it or its root system, and a replaced
+    m_pos moves k_pos and dim_H."""
+    assert [f.name for f in dataclasses.fields(GradedDecomposition)] == ["m_pos", "_rs"]
     rs = build_root_system(parse_type("G2"))
     gd = dataclasses.replace(quaternionic_decomposition(rs), m_pos=rs.positive_roots[:2])
     assert gd.quaternionic_dim == 1
     assert gd.k_pos == rs.positive_roots[2:]
+    assert gd.node_set == node_set(rs)
 
 
 @pytest.mark.parametrize("case", ["non-root", "negative root", "highest root", "repeated root"])

@@ -62,6 +62,7 @@ from oracles import (
     pairwise_base_type,
     pairwise_closure_base,
     regenerate_from_base,
+    root_sq_lengths,
     sorted_positive_roots,
     squared_lengths,
     tree_certificate_type,
@@ -418,9 +419,8 @@ def test_base_type_matches_pairwise_oracle(label):
 
 @pytest.mark.parametrize("label", GRADED_LABELS)
 def test_table_parts_type_matches_the_normalizing_constructor(label):
-    """The count table's components build, without alias lookups, the type
-    the public constructor builds from them: same components in the same
-    order, same hash and name."""
+    """The kernel's type is the one the public constructor builds from its
+    components: same components in the same order, same hash and name."""
     rs = build_root_system(parse_type(label))
     gd = quaternionic_decomposition(rs)
     for t in base_type_test_elements(rs):
@@ -438,7 +438,7 @@ def test_edge_pairings_from_lengths_match_string_walks(label):
     give across it are the root-string pairings."""
     rs = build_root_system(parse_type(label))
     gd = quaternionic_decomposition(rs)
-    pos, lengths = rs.positive_roots, rs._sq_lengths
+    pos, lengths = rs.positive_roots, root_sq_lengths(rs)
     for t in base_type_test_elements(rs):
         for base in l_and_v_bases(rs, gd, t):
             adj = base_adjacency(rs, base)
@@ -746,6 +746,43 @@ def test_cartan_type_component_order_is_canonical():
     b = CartanType.of("B5", "A1", "A1")
     assert a == b
     assert a.render() == "B5 A1 A1"
+
+
+def test_cartan_type_has_one_instance_per_type():
+    """Every way to build a type returns its one instance: aliases, any
+    component order, of, from_json, replace, copies and a pickle round trip."""
+    import copy
+    import dataclasses
+    import pickle
+
+    b2, a3, a1 = SimpleType("B", 2), SimpleType("A", 3), SimpleType("A", 1)
+    ct = CartanType([a1, b2, a3, a1], 1)
+    for alias in ([("D", 2), SimpleType("C", 2), SimpleType("D", 3)], [("D", 3), a1, a1, ("C", 2)]):
+        assert CartanType(alias, 1) is ct
+    assert CartanType.of("A3", "A1", "C2", "A1", torus_rank=1) is ct
+    assert CartanType.from_json(ct.to_json()) is ct
+    assert dataclasses.replace(ct) is ct
+    assert dataclasses.replace(ct, torus_rank=0) is CartanType([a3, b2, ("D", 2)])
+    for twin in (copy.copy(ct), copy.deepcopy(ct), pickle.loads(pickle.dumps(ct))):
+        assert twin is ct
+    assert ct.render() == "A3 B2 A1 A1 T1"
+    assert CartanType(()).render() == "0"
+
+
+@pytest.mark.parametrize("torus_rank", [True, 1.0], ids=["bool", "float"])
+def test_cartan_type_refuses_a_torus_rank_that_is_no_int(torus_rank):
+    """A torus rank equal to 1 but of another type is refused, not stored
+    (to_json would write it) nor matched to the instance for 1."""
+    assert CartanType((), 1).render() == "T1"
+    with pytest.raises(TypeError, match="^torus rank .* is not an integer$"):
+        CartanType((), torus_rank)
+
+
+def test_normalize_components_refuses_a_rank_that_is_no_int():
+    """A pair's rank is checked before its alias lookup, as a SimpleType's."""
+    for pair in (("D", True), ("B", 1.0), ("A", True)):
+        with pytest.raises(TypeError, match="is not an integer$"):
+            normalize_components([pair])
 
 
 def test_cartan_type_json_round_trip():
