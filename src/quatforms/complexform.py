@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .involution import ToralElement, _pairing_values
 from .rootsys import GradedDecomposition, Root, RootSystem
-from .subsys import CartanType, _base_mask, _bits, _closed_base, _type_of
+from .subsys import CartanType, _base_mask, _bits, _by_parts, _closed_base, _type_of, _v_tables
 
 COMPLEX_FORM = "complex-form"
 NOT_COMPLEX_FORM = "not-complex-form"
@@ -97,8 +97,8 @@ def _kernel(rs: RootSystem, gd: GradedDecomposition, kept: int, present: int) ->
     so v = (l ^ g^-1(0)) + {+-theta if theta in l}, and v's base is l's base
     nodes off m, plus theta when l holds it (Bourbaki, Lie VI 1.7): one mask
     comparison checks it, and turns l's base as root indices into v's with
-    no second pass over spare bits.  l and v are each typed from their own
-    base and members (``subsys._type_of``).
+    no second pass over spare bits.  l is typed by one flood of its base
+    (``subsys._type_of``), and v from l's components (``_v_type``).
     """
     m, v_roles = gd._masks
     width = rs._triple_masks[3]
@@ -109,9 +109,54 @@ def _kernel(rs: RootSystem, gd: GradedDecomposition, kept: int, present: int) ->
         raise RuntimeError(f"v base of l = {kept:#x} is not l's grade-0 base plus theta")
     l_nodes = _base_mask(rs, l_base)
     v_nodes = l_nodes & ~m | bool(theta) << len(rs.positive_roots) - 1
-    l_type, v_type = _type_of(rs, l_nodes, kept), _type_of(rs, v_nodes, kept & ~m)
+    l_type, comps = _type_of(rs, l_nodes, kept)
+    v_type = _v_type(rs, m, v_nodes, comps, kept)
     s = kept & m
     return l_type, v_type, not theta, s, (s & gd._mirror).bit_count()
+
+
+def _v_type(rs: RootSystem, m: int, v_nodes: int, comps: list, kept: int) -> CartanType:
+    """Type of v = l ^ k from l's component records (``subsys._type_of``),
+    with v's base v_nodes and m the grade-1 mask; kept, l's member mask,
+    names l in errors.
+
+    Lemma: g is additive and >= 0, theta alone has g = 2, and g agrees with
+    <., theta-check> (the paper's Section "qss").  Take a component C of l
+    and its highest root theta_C, the sum of C's base nodes times their
+    marks.  If theta is in C, theta = theta_C and g is C's own grading
+    <., theta_C-check>, so v ^ C is K_C (``subsys._attach_removed``).  Else
+    g(theta_C) <= 1, so at most one base node of C lies in m, with mark 1,
+    and v ^ C is C minus that node (``subsys._minus_mark_one``), or C whole
+    if none does.  The tables of ``subsys._v_tables`` are keyed by C's type
+    and v ^ C's positive-root count; the torus is the ambient rank minus
+    v's semisimple rank, which holds for any denominator.  Two nodes in m
+    off theta's component, a root in m in a component with no node in m, a
+    key with no row and parts whose ranks miss v's base size raise
+    RuntimeError.
+    """
+    minus, isotropy = _v_tables()
+    top, parts = len(rs.positive_roots) - 1, []
+    for nodes, roots, t in comps:
+        cut = nodes & m
+        if roots >> top & 1:  # C holds theta
+            row = isotropy.get((t, (roots & ~m).bit_count()))
+        elif cut & cut - 1:
+            raise RuntimeError(f"a component of l = {kept:#x} off theta has two base nodes in m")
+        elif cut:
+            row = minus.get((t, (roots & ~m).bit_count()))
+        elif roots & m:
+            raise RuntimeError(f"a component of l = {kept:#x} with no base node in m meets m")
+        else:
+            parts.append(t)
+            continue
+        if row is None:
+            raise RuntimeError(f"no row types v in {t.label}, a component of l = {kept:#x}")
+        parts += row
+    rank = v_nodes.bit_count()
+    v_type = _by_parts(tuple(parts), rs.rank - rank)
+    if v_type.semisimple_rank != rank:
+        raise RuntimeError(f"v's parts in l = {kept:#x} miss the rank of v's base")
+    return v_type
 
 
 def _analysis(rs: RootSystem, gd: GradedDecomposition, t: ToralElement) -> tuple:

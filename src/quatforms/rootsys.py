@@ -80,31 +80,26 @@ class GradingError(ValueError):
     """Raised when a root system admits no quaternionic node grading."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SimpleType:
-    """A simple Cartan type: family letter A-G plus rank, an int (no bool)."""
+    """A simple Cartan type: family letter A-G plus rank, an int (no bool).
+
+    The constructor returns one shared instance per type, as do copies and
+    pickles, so equality and hashing are by identity: the type-keyed tables
+    on the analysis path (``subsys._count_types``, the parts cache of
+    ``subsys.CartanType`` and the tables that type v) hash a SimpleType at
+    C speed.  Its cache is typed, so a rank True or 1.0 misses the entry
+    for 1 and is refused every time.
+    """
 
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if type(self.rank) is not int:
-            raise TypeError(f"rank {self.rank!r} is not an integer")
-        ranks = _RANKS.get(self.family)
-        if ranks is None:
-            raise InvalidTypeError(
-                f"unknown family {self.family!r}; valid families are A-G"
-            )
-        if self.rank not in ranks:
-            if len(ranks) == 1:
-                valid = f"the only valid rank is {ranks[0]}"
-            elif len(ranks) <= 3:
-                valid = "valid ranks are " + ", ".join(map(str, ranks))
-            else:
-                valid = f"valid ranks are {ranks[0]}..{ranks[-1]}"
-            raise InvalidTypeError(
-                f"rank {self.rank} out of range for family {self.family}; {valid}"
-            )
+    def __new__(cls, family: str, rank: int) -> SimpleType:
+        return _simple_type(family, rank)
+
+    def __reduce__(self) -> tuple:
+        return SimpleType, (self.family, self.rank)
 
     @property
     def label(self) -> str:
@@ -112,6 +107,27 @@ class SimpleType:
 
     def __str__(self) -> str:
         return self.label
+
+
+@lru_cache(maxsize=None, typed=True)
+def _simple_type(family: str, rank: int) -> SimpleType:
+    """``SimpleType``'s instance, built and checked on a cache miss only."""
+    if type(rank) is not int:
+        raise TypeError(f"rank {rank!r} is not an integer")
+    ranks = _RANKS.get(family)
+    if ranks is None:
+        raise InvalidTypeError(f"unknown family {family!r}; valid families are A-G")
+    if rank not in ranks:
+        if len(ranks) == 1:
+            valid = f"the only valid rank is {ranks[0]}"
+        elif len(ranks) <= 3:
+            valid = "valid ranks are " + ", ".join(map(str, ranks))
+        else:
+            valid = f"valid ranks are {ranks[0]}..{ranks[-1]}"
+        raise InvalidTypeError(f"rank {rank} out of range for family {family}; {valid}")
+    self = object.__new__(SimpleType)
+    vars(self).update(family=family, rank=rank)
+    return self
 
 
 def parse_type(label: str) -> SimpleType:

@@ -16,15 +16,23 @@ roots, looked up in a per-rank table built from Coxeter numbers and the
 Cartan matrices that build the root systems (``rootsys._cartan_matrix``).
 Both steps are kernels on bitmasks (``_closed_base``, ``_type_of``):
 ``Subsystem`` and ``recognize`` wrap them for root-tuple sets, and
-``complexform.analyze`` calls them directly.  Types come back through
-``CartanType``'s constructor as one shared instance per type, so the
-search and the registry diff compare them by identity.
+``complexform.analyze`` calls them directly.  ``_type_of`` also returns
+each component's nodes, roots and simple type, and the analysis types
+v = l ^ k from those records, not from a second flood: a component of l
+off the highest root loses at most one node, of mark 1, to the grade-1
+part, and the one that holds it meets k in its own quaternionic isotropy
+K_C.  Two tables built from closed-form family rules give those types
+(``_v_tables``: C minus a node of mark 1, Bourbaki's plates; K_C, the
+paper's quaternionic pairs).  Types come back through ``CartanType``'s
+constructor, or its parts cache for the kernels, as one shared instance
+per type, so the search and the registry diff compare them by identity;
+their SimpleType parts are shared instances too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .rootsys import (
@@ -192,21 +200,23 @@ def normalize_components(parts: Iterable[SimpleType | tuple[str, int]]) -> tuple
 class CartanType:
     """A multiset of simple components plus a torus rank, an int >= 0.
 
-    Torus factors are counted, not located.  The constructor, the one way
-    to build a type, normalizes the components and returns one shared
-    instance per type, as do copies and pickles; equality is identity.
+    Torus factors are counted, not located.  The constructor normalizes
+    the components, (family, rank) pairs becoming SimpleTypes, and returns
+    one shared instance per type from its parts cache (``_by_parts``, which
+    the kernels call with SimpleTypes directly), as do copies and pickles;
+    equality is identity.
     """
 
     components: tuple[SimpleType, ...]
     torus_rank: int
 
     def __new__(cls, components: Iterable = (), torus_rank: int = 0) -> CartanType:
-        return _by_parts(tuple(components), torus_rank)
+        return _by_parts(normalize_components(components), torus_rank)
 
     def __reduce__(self) -> tuple:
         return CartanType, (self.components, self.torus_rank)
 
-    @property
+    @cached_property
     def semisimple_rank(self) -> int:
         return sum(t.rank for t in self.components)
 
@@ -260,9 +270,12 @@ class CartanType:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _by_parts(parts: tuple, torus_rank: int) -> CartanType:
-    """``CartanType``'s instance for its raw arguments; typed, so that a
-    torus rank True or 1.0 misses the entry for 1 and is refused."""
+def _by_parts(parts: tuple[SimpleType, ...], torus_rank: int) -> CartanType:
+    """``CartanType``'s instance for SimpleType parts in any order, the
+    kernels' entry: the constructor turns raw (family, rank) pairs into
+    SimpleTypes first, so a bool or float rank never reaches this cache.
+    Typed, so that a torus rank True or 1.0 misses the entry for 1 and is
+    refused."""
     if type(torus_rank) is not int:
         raise TypeError(f"torus rank {torus_rank!r} is not an integer")
     if torus_rank < 0:
@@ -284,10 +297,17 @@ def _by_components(components: tuple[SimpleType, ...], torus_rank: int) -> Carta
 _EXCEPTIONAL_COXETER = {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}
 
 
+def _positive_count(t: SimpleType) -> int:
+    """N = rank * h / 2, the positive roots of t, h its Coxeter number."""
+    r = t.rank
+    h = _EXCEPTIONAL_COXETER.get(t.label) or {"A": r + 1, "D": 2 * r - 2}.get(t.family, 2 * r)
+    return r * h // 2
+
+
 @lru_cache(maxsize=None)
 def _count_types(rank: int) -> dict[tuple[int, int], SimpleType]:
     """The simple types of one rank, keyed by (N, s): N = rank * h / 2
-    positive roots, h the Coxeter number, and s the short simple roots of
+    positive roots (``_positive_count``), and s the short simple roots of
     ``_simple_lengths`` mod rank (0 when all or none are short).
 
     A, D and E of one rank differ in N; B_r and C_r share N = r^2 but have
@@ -297,12 +317,72 @@ def _count_types(rank: int) -> dict[tuple[int, int], SimpleType]:
     """
     table: dict[tuple[int, int], SimpleType] = {}
     for t in (SimpleType(family, rank) for family, ranks in _RANKS.items() if rank in ranks):
-        h = _EXCEPTIONAL_COXETER.get(t.label) or {"A": rank + 1, "D": 2 * rank - 2}.get(
-            t.family, 2 * rank
-        )
         short = _simple_lengths(_cartan_matrix(t)).count(1)
-        table.setdefault((rank * h // 2, short % rank), t)
+        table.setdefault((_positive_count(t), short % rank), t)
     return table
+
+
+def _minus_mark_one(t: SimpleType) -> list[list[tuple[str, int]]]:
+    """The diagram of t minus one node of mark 1, for each such node.
+
+    A node's mark is its simple root's coefficient in the highest root
+    (Bourbaki, Lie VI, Plates I-IX).  Every node of A_k has mark 1, and
+    A_k - j = A_(j-1) A_(k-j).  B_k - 1 = B_(k-1), C_k - k = A_(k-1),
+    D_k - 1 = D_(k-1) and D_k - (k-1) = D_k - k = A_(k-1), E6 - 1 =
+    E6 - 6 = D5 and E7 - 7 = E6; E8, F4 and G2 have no node of mark 1.
+    A part of rank 0 is empty, and B1 and D3 are A1 and A3.
+    """
+    f, k = t.family, t.rank
+    if f == "A":
+        return [[("A", j - 1), ("A", k - j)] for j in range(1, k + 1)]
+    rows = {"B": [[("B", k - 1)]], "C": [[("A", k - 1)]], "D": [[("D", k - 1)], [("A", k - 1)]]}
+    rows.update(E6=[[("D", 5)]], E7=[[("E", 6)]])
+    return rows.get(f if f in "BCD" else t.label, [])
+
+
+def _attach_removed(t: SimpleType) -> list[tuple[str, int]]:
+    """The diagram of t minus its attach nodes, those joined to -theta in
+    the extended diagram (the node set of ``rootsys.node_set``; both ends
+    of A_k, and the one node of A1).  With the A1 of theta it is K_C of the
+    quaternionic symmetric pair (G, K) of type t (Wolf 1965; the paper's
+    Section "qss"): A_k -> A_(k-2), B_k -> A1 B_(k-2), C_k -> C_(k-1), D_k
+    -> A1 D_(k-2), E6 -> A5, E7 -> D6, E8 -> E7, F4 -> C3 and G2 -> A1 (its
+    short simple root).  A part of rank below 1 is empty, and D2 is A1 A1.
+    """
+    f, k = t.family, t.rank
+    rows = {"A": [("A", k - 2)], "B": [("A", 1), ("B", k - 2)], "C": [("C", k - 1)]}
+    rows.update(D=[("A", 1), ("D", k - 2)], E6=[("A", 5)], E7=[("D", 6)], E8=[("E", 7)])
+    rows.update(F4=[("C", 3)], G2=[("A", 1)])
+    return rows[f if f in "ABCD" else t.label]
+
+
+@lru_cache(maxsize=None)
+def _v_tables() -> tuple[dict, dict]:
+    """(minus, isotropy): the type of v ^ C for a component C of l, keyed by
+    (C's simple type, v ^ C's positive-root count), as a tuple of parts.
+
+    ``minus`` holds C minus a node of mark 1 (``_minus_mark_one``), and
+    ``isotropy`` holds K_C, A1 plus C minus its attach nodes
+    (``_attach_removed``).  Both are keyed by the normalized types, those of
+    ``_count_types`` (B2, not C2; A3, not D3), and the counts come from
+    ``_positive_count``.  Two nodes of mark 1 in one type give one key only
+    when their diagrams agree: A_k - j and A_k - (k + 1 - j) are mirror
+    images, and the counts of A_k - j grow with |2j - k - 1|; D_k - 1 has
+    (k - 1)(k - 2) positive roots and D_k - k has k(k - 1)/2, equal only at
+    D4, where both are A3.
+    """
+    minus: dict[tuple[SimpleType, int], tuple[SimpleType, ...]] = {}
+    isotropy: dict[tuple[SimpleType, int], tuple[SimpleType, ...]] = {}
+    for family, ranks in _RANKS.items():
+        for rank in ranks:
+            t = SimpleType(family, rank)
+            if normalize_components([t]) != (t,):
+                continue
+            rows = [(minus, row) for row in _minus_mark_one(t)]
+            for table, row in rows + [(isotropy, [("A", 1), *_attach_removed(t)])]:
+                parts = normalize_components([p for p in row if p[1] > 0])
+                table[t, sum(map(_positive_count, parts))] = parts
+    return minus, isotropy
 
 
 def recognize(sub: Subsystem) -> CartanType:
@@ -313,19 +393,21 @@ def recognize(sub: Subsystem) -> CartanType:
     index = sub.ambient._index
     base = sum([1 << index[r] for r in sub.base])
     members = sum([1 << index[r] for r in sub.positive_roots])
-    return _type_of(sub.ambient, base, members)
+    return _type_of(sub.ambient, base, members)[0]
 
 
-def _type_of(ambient: RootSystem, base: int, members: int) -> CartanType:
+def _type_of(ambient: RootSystem, base: int, members: int) -> tuple[CartanType, list]:
     """Cartan type of the closed subsystem whose base and positive members
-    are these masks of positive-root indices.
+    are these masks of positive-root indices, and a record (nodes, roots,
+    simple type) of each of its components, nodes and roots as masks.
 
     The base nodes are flooded into components through ``near`` (x +- y a
     root, or x = y; ``RootSystem._triple_masks``), refusing two nodes that
     differ by a root.  A component's roots are the members near one of its
     nodes, and it is typed by (k, N, s), its node count, root count and
     short nodes (``RootSystem._short_mask``) mod k, in ``_count_types(k)``;
-    the type is the constructor's shared instance.
+    the type is the constructor's shared instance, reached through its
+    parts cache (``_by_parts``), as the parts are SimpleTypes already.
 
     Lemma: a member y lies in base node b's component exactly when y +- b is
     a root, or y = b, for some b in that component.  y pairs nonzero with
@@ -337,9 +419,12 @@ def _type_of(ambient: RootSystem, base: int, members: int) -> CartanType:
     overlap, members no component covers and a key that names no type
     raise UnclassifiableSubsystemError: none occurs for a closed subsystem
     and its base.
+
+    The records let ``complexform._kernel`` type v = l ^ k from l's
+    components with the tables of ``_v_tables``, so one flood serves both.
     """
     _, _, diffs, *_, near = ambient._triple_masks
-    shorts, parts, covered, left = ambient._short_mask, [], 0, base
+    shorts, comps, parts, covered, left = ambient._short_mask, [], [], 0, base
     while left:
         comp = grow = left & -left
         roots = 0
@@ -363,9 +448,11 @@ def _type_of(ambient: RootSystem, base: int, members: int) -> CartanType:
             raise UnclassifiableSubsystemError("base components share a root")
         covered |= roots
         k = comp.bit_count()
-        parts.append(_count_types(k).get((roots.bit_count(), (comp & shorts).bit_count() % k)))
+        t = _count_types(k).get((roots.bit_count(), (comp & shorts).bit_count() % k))
+        parts.append(t)
+        comps.append((comp, roots, t))
     if covered != members:
         raise UnclassifiableSubsystemError("base components do not cover the subsystem")
     if None in parts:
         raise UnclassifiableSubsystemError("base component matches no simple type")
-    return CartanType(parts, ambient.rank - base.bit_count())
+    return _by_parts(tuple(parts), ambient.rank - base.bit_count()), comps

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import product
@@ -389,6 +390,89 @@ def test_analyze_refuses_a_v_base_off_the_lemma():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.endswith("is not l's grade-0 base plus theta\n"), (flags, proc.stdout)
+
+
+# Each guard of the v typing (complexform._v_type), reached with the earlier
+# guards passing: a fabricated A3 grading whose m holds both base nodes of
+# l = A2; tables without rows; tables whose rows gain an A1; and records of
+# l's one component, A1 off m at (1, 0, 1) / 3 in A3, that claim the roots
+# in m.  The last holds past the closure and base checks, so only a patched
+# record reaches it.
+_V_GUARDS = """
+import dataclasses
+import quatforms.complexform as complexform
+from quatforms import ToralElement, analyze, build_root_system, parse_type
+from quatforms import quaternionic_decomposition
+from quatforms.rootsys import SimpleType
+from quatforms.subsys import _v_tables
+
+def refusal(label, coords, d, basis, **m_pos):
+    rs = build_root_system(parse_type(label))
+    gd = dataclasses.replace(quaternionic_decomposition(rs), **m_pos)
+    try:
+        analyze(rs, gd, ToralElement(coords, d, basis))
+    except RuntimeError as exc:
+        return str(exc)
+
+e8 = ("E8", (0,) * 7 + (1,), 2, "coroot")
+a1 = SimpleType("A", 1)
+print(refusal("A3", (0, 0, 1), 2, "coweight", m_pos=((1, 0, 0), (0, 1, 0), (1, 1, 0))))
+complexform._v_tables = lambda: ({}, {})
+print(refusal(*e8))
+complexform._v_tables = lambda: tuple({k: v + (a1,) for k, v in t.items()} for t in _v_tables())
+print(refusal(*e8))
+complexform._v_tables = _v_tables
+type_of = complexform._type_of
+m = quaternionic_decomposition(build_root_system(parse_type("A3")))._masks[0]
+def claiming_m(*args):
+    l_type, comps = type_of(*args)
+    return l_type, [(nodes, roots | m, t) for nodes, roots, t in comps]
+complexform._type_of = claiming_m
+print(refusal("A3", (1, 0, 1), 3, "coweight"))
+"""
+
+
+def test_v_typing_guards_hold_under_optimization():
+    """Two base nodes in m in a component off theta, a component with no
+    table row, parts whose ranks miss v's base and a component with no node
+    in m but a root there each raise RuntimeError, also under -O."""
+    src = str(Path(quatforms.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _V_GUARDS], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        two, no_row, rank, meets = proc.stdout.splitlines()
+        assert two == "a component of l = 0x16 off theta has two base nodes in m", flags
+        assert re.fullmatch(r"no row types v in \w+, a component of l = 0x[0-9a-f]+", no_row)
+        assert re.fullmatch(r"v's parts in l = 0x[0-9a-f]+ miss the rank of v's base", rank)
+        assert meets == "a component of l = 0x2 with no base node in m meets m", flags
+
+
+@pytest.mark.parametrize("label", ["A8", "B9", "C7", "D9", "E8"])
+def test_warm_classify_floods_once_per_witness(monkeypatch, label):
+    """A warm classify_equal_rank floods l's base once per witness, and
+    analyze once per call, theta in l or not: v is typed from l's
+    components, with no flood of v's own base."""
+    from quatforms.classify import _orbit_table, classify_equal_rank
+
+    rs, gd = _setup(label)
+    classify_equal_rank(rs)
+    type_of, flooded = complexform._type_of, []
+
+    def counting(ambient, base, members):
+        flooded.append(base)
+        return type_of(ambient, base, members)
+
+    monkeypatch.setattr(complexform, "_type_of", counting)
+    classify_equal_rank(rs)
+    assert len(flooded) == len(_orbit_table(rs))
+    flooded.clear()
+    for coords, d in (((0,) * (rs.rank - 1) + (1,), 2), ((0,) * rs.rank, 1)):
+        analyze(rs, gd, ToralElement(coords, d, "coroot"))
+    assert len(flooded) == 2
 
 
 @pytest.mark.parametrize("label", GRADED_LABELS)

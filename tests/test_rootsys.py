@@ -64,6 +64,22 @@ def test_simple_type_rejects_a_rank_that_is_no_int(rank):
         SimpleType("A", rank)
 
 
+@pytest.mark.parametrize("label", SUPPORTED_LABELS)
+def test_simple_type_has_one_instance_per_type(label):
+    """The constructor, parse_type, replace, copies and a pickle round trip
+    all return the one instance, which hashes by identity."""
+    import copy
+    import pickle
+
+    t = parse_type(label)
+    assert SimpleType(t.family, t.rank) is t
+    assert dataclasses.replace(t) is t
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert twin is t
+    assert hash(t) == object.__hash__(t)
+    assert (t.label, repr(t)) == (label, f"SimpleType(family={t.family!r}, rank={t.rank})")
+
+
 # The tail of each rejection message: the family's valid ranks.
 _VALID_RANKS = {
     "A": "valid ranks are 1..10",

@@ -36,6 +36,7 @@ from quatforms.subsys import (
     _closed_base,
     _count_types,
     _type_of,
+    _v_tables,
     normalize_components,
 )
 
@@ -413,7 +414,7 @@ def test_base_type_matches_pairwise_oracle(label):
     gd = quaternionic_decomposition(rs)
     for t in base_type_test_elements(rs):
         for base, members in l_and_v(rs, gd, t):
-            got = _type_of(rs, mask_of(base), members)
+            got = _type_of(rs, mask_of(base), members)[0]
             assert got == diagram_base_type(rs, base) == pairwise_base_type(rs, base), t.describe()
 
 
@@ -425,7 +426,7 @@ def test_table_parts_type_matches_the_normalizing_constructor(label):
     gd = quaternionic_decomposition(rs)
     for t in base_type_test_elements(rs):
         for base, members in l_and_v(rs, gd, t):
-            got = _type_of(rs, mask_of(base), members)
+            got = _type_of(rs, mask_of(base), members)[0]
             expected = CartanType(got.components, got.torus_rank)
             assert got == expected and got.components == expected.components, t.describe()
             assert (hash(got), str(got)) == (hash(expected), expected.render())
@@ -634,6 +635,87 @@ def test_count_table_holds_every_type_of_its_rank(rank):
     shared = sorted(labels for labels in by_key.values() if len(labels) > 1)
     assert shared == {2: [["B2", "C2"]], 3: [["A3", "D3"]]}.get(rank, [])
     assert set(table) == set(by_key)
+
+
+def _named_without(cartan, lengths, cut):
+    """The simple types of the diagram of cartan with the nodes in cut deleted,
+    named by diagram keys (``oracles.diagram_components``)."""
+    keep = [i for i in range(len(cartan)) if i not in cut]
+    adj = {i: sum([1 << j for j in keep if j != i and cartan[i][j]]) for i in keep}
+    return diagram_components(adj, lengths)
+
+
+def test_v_tables_match_diagrams_with_nodes_deleted():
+    """Each row of the two tables that type v, against Cartan matrices, not
+    the family rules: for every buildable type and each node of mark 1 (its
+    coefficient in the highest root), the diagram without that node, keyed
+    by its positive roots (those with coefficient 0 there); and the diagram
+    without the attach nodes (<theta, alpha_i-check> > 0, the node set at
+    rank >= 2) plus the A1 of theta, keyed by the positive roots of grade 0
+    plus theta.  The tables hold no other row."""
+    minus, isotropy = _v_tables()
+    seen_minus, seen_isotropy = set(), set()
+    for label in SUPPORTED_LABELS:
+        t = parse_type(label)
+        rs = build_root_system(t)
+        cartan, theta, pos = rs.cartan, rs.highest_root, rs.positive_roots
+        sq = squared_lengths(cartan)
+        lengths = [int(x / min(sq)) for x in sq]
+        (normal,) = CartanType((t,)).components
+        for j in (j for j, mark in enumerate(theta) if mark == 1):
+            key = (normal, sum(1 for r in pos if not r[j]))
+            names = _named_without(cartan, lengths, {j})
+            assert CartanType(minus[key]) is CartanType(names), (label, j + 1)
+            seen_minus.add(key)
+        attach = {i for i in range(t.rank) if sum(c * row[i] for c, row in zip(theta, cartan)) > 0}
+        if t.rank >= 2:
+            assert attach == {i - 1 for i in node_set(rs)}, label
+        key = (normal, 1 + sum(1 for r in pos if not any(r[i] for i in attach)))
+        names = [parse_type("A1"), *_named_without(cartan, lengths, attach)]
+        assert CartanType(isotropy[key]) is CartanType(names), label
+        seen_isotropy.add(key)
+    assert (set(minus), set(isotropy)) == (seen_minus, seen_isotropy)
+
+
+# Each constructor builds rank 1, then rank True, or the reverse, in a fresh
+# process, so no earlier test has filled the caches.
+_BOOL_RANK = """
+import sys
+from quatforms.rootsys import SimpleType
+from quatforms.subsys import CartanType
+build = {"CartanType": lambda r: CartanType([("A", r)]), "SimpleType": lambda r: SimpleType("A", r)}
+for rank in (1, True) if sys.argv[2] == "int-first" else (True, 1):
+    try:
+        print(build[sys.argv[1]](rank))
+    except TypeError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("order", ["int-first", "bool-first"])
+@pytest.mark.parametrize("constructor", ["CartanType", "SimpleType"])
+def test_a_bool_rank_is_refused_whatever_was_built_before(constructor, order):
+    """A rank True is refused even after rank 1 was built: the caches key
+    (family, rank) pairs and ranks by type, not by ==."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import quatforms
+
+    src = str(Path(quatforms.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BOOL_RANK, constructor, order],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = ["A1", "rank True is not an integer"]
+    assert proc.stdout.splitlines() == (lines if order == "int-first" else lines[::-1])
 
 
 # Closed subsystems with a tampered base: (ambient, positive roots, base,
