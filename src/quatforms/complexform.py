@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .involution import ToralElement, _pairing_values
-from .rootsys import GradedDecomposition, Root, RootSystem
-from .subsys import CartanType, _base_mask, _bits, _by_parts, _closed_base, _type_of, _v_tables
+from .rootsys import GradedDecomposition, Root, RootSystem, SimpleType
+from .subsys import CartanType, _base_mask, _bits, _by_parts, _closed_base, _type_of
 
 COMPLEX_FORM = "complex-form"
 NOT_COMPLEX_FORM = "not-complex-form"
@@ -115,6 +115,11 @@ def _kernel(rs: RootSystem, gd: GradedDecomposition, kept: int, present: int) ->
     return l_type, v_type, not theta, s, (s & gd._mirror).bit_count()
 
 
+# v ^ C for a component C of l, keyed by (C's simple type, v ^ C's positive
+# roots, whether C holds theta): a per-type table, filled on first use.
+_V_ROWS: dict[tuple[SimpleType, int, int], tuple[SimpleType, ...]] = {}
+
+
 def _v_type(rs: RootSystem, m: int, v_nodes: int, comps: list, kept: int) -> CartanType:
     """Type of v = l ^ k from l's component records (``subsys._type_of``),
     with v's base v_nodes and m the grade-1 mask; kept, l's member mask,
@@ -124,33 +129,37 @@ def _v_type(rs: RootSystem, m: int, v_nodes: int, comps: list, kept: int) -> Car
     <., theta-check> (the paper's Section "qss").  Take a component C of l
     and its highest root theta_C, the sum of C's base nodes times their
     marks.  If theta is in C, theta = theta_C and g is C's own grading
-    <., theta_C-check>, so v ^ C is K_C (``subsys._attach_removed``).  Else
-    g(theta_C) <= 1, so at most one base node of C lies in m, with mark 1,
-    and v ^ C is C minus that node (``subsys._minus_mark_one``), or C whole
-    if none does.  The tables of ``subsys._v_tables`` are keyed by C's type
-    and v ^ C's positive-root count; the torus is the ambient rank minus
+    <., theta_C-check>, so v ^ C is K_C, the quaternionic isotropy of C: A1
+    plus C minus the nodes joined to -theta.  Else g(theta_C) <= 1, so at
+    most one base node of C lies in m, with mark 1, and v ^ C is C minus
+    that node, or C whole if none does.  So v ^ C's type depends only on
+    C's type, whether C holds theta and v ^ C's positive-root count, which
+    tells apart two mark-1 nodes of one type unless a diagram symmetry
+    swaps them: A_k - j and A_k - (k + 1 - j) are mirror images, and the
+    counts of A_k - j grow with |2j - k - 1|; D_k - 1 has (k - 1)(k - 2)
+    positive roots and D_k - k has k(k - 1)/2, equal only at D4, where both
+    are A3 (Bourbaki, Lie VI, Plates I-IX).  ``_V_ROWS`` keeps that type
+    under that key, filled on a miss by one flood (``subsys._type_of``) of
+    v ^ C's base, v's base nodes in C.  The torus is the ambient rank minus
     v's semisimple rank, which holds for any denominator.  Two nodes in m
-    off theta's component, a root in m in a component with no node in m, a
-    key with no row and parts whose ranks miss v's base size raise
-    RuntimeError.
+    off theta's component, a root in m in a component with no node in m,
+    and parts whose ranks miss v's base size raise RuntimeError.
     """
-    minus, isotropy = _v_tables()
     top, parts = len(rs.positive_roots) - 1, []
     for nodes, roots, t in comps:
-        cut = nodes & m
-        if roots >> top & 1:  # C holds theta
-            row = isotropy.get((t, (roots & ~m).bit_count()))
-        elif cut & cut - 1:
-            raise RuntimeError(f"a component of l = {kept:#x} off theta has two base nodes in m")
-        elif cut:
-            row = minus.get((t, (roots & ~m).bit_count()))
-        elif roots & m:
-            raise RuntimeError(f"a component of l = {kept:#x} with no base node in m meets m")
-        else:
+        cut, theta = nodes & m, roots >> top & 1
+        if not (theta or cut):
+            if roots & m:
+                raise RuntimeError(f"a component of l = {kept:#x} with no base node in m meets m")
             parts.append(t)
             continue
+        if not theta and cut & cut - 1:
+            raise RuntimeError(f"a component of l = {kept:#x} off theta has two base nodes in m")
+        v_roots = roots & ~m
+        key = (t, v_roots.bit_count(), theta)
+        row = _V_ROWS.get(key)
         if row is None:
-            raise RuntimeError(f"no row types v in {t.label}, a component of l = {kept:#x}")
+            row = _V_ROWS[key] = _type_of(rs, v_nodes & roots, v_roots)[0].components
         parts += row
     rank = v_nodes.bit_count()
     v_type = _by_parts(tuple(parts), rs.rank - rank)

@@ -87,9 +87,9 @@ class SimpleType:
     The constructor returns one shared instance per type, as do copies and
     pickles, so equality and hashing are by identity: the type-keyed tables
     on the analysis path (``subsys._count_types``, the parts cache of
-    ``subsys.CartanType`` and the tables that type v) hash a SimpleType at
-    C speed.  Its cache is typed, so a rank True or 1.0 misses the entry
-    for 1 and is refused every time.
+    ``subsys.CartanType`` and ``complexform._V_ROWS``, which types v) hash
+    a SimpleType at C speed.  Its cache is typed, so a rank True or 1.0
+    misses the entry for 1 and is refused every time.
     """
 
     family: str

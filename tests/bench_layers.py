@@ -21,10 +21,8 @@ in the checkout's root, named after ``git rev-parse --short HEAD``, with
 Each time is a loop of calls, over the type's witnesses for a kernel
 layer, divided by the calls, in microseconds: the fastest of 15 rounds
 that each time everything once, spread over the run.  The host is
-recorded beside them.  On a tree where
-``_type_of`` returns a type alone (before v was typed from l's
-components), v typing is a second flood of v's base.  Not collected by
-pytest: its name does not start with ``test_``.
+recorded beside them.  Not collected by pytest: its name does not start
+with ``test_``.
 """
 
 from __future__ import annotations
@@ -100,7 +98,6 @@ def measure(quick: bool) -> dict:
             complexform._type_of = _type_of
         out["floods"][label] = {"witnesses": len(_orbit_table(rs)), "floods": len(flooded)}
 
-    split = hasattr(complexform, "_v_type")
     for label in KERNEL_TYPES:
         rs = build_root_system(parse_type(label))
         gd = quaternionic_decomposition(rs)
@@ -117,18 +114,13 @@ def measure(quick: bool) -> dict:
             l_nodes = _base_mask(rs, l_base)
             # Every witness passes the circle test, so theta is not in l.
             rows.append((kept, present, l_base, l_nodes, l_nodes & ~m))
-        if split:
-            v_args = [(rs, m, vn, _type_of(rs, ln, k)[1], k) for k, _, _, ln, vn in rows]
-            v_typing = complexform._v_type
-        else:
-            v_args = [(rs, vn, k & ~m) for k, _, _, _, vn in rows]
-            v_typing = _type_of
+        v_args = [(rs, m, vn, _type_of(rs, ln, k)[1], k) for k, _, _, ln, vn in rows]
         layers = {
             "closed_base_l": (_closed_base, [(rs, p) for _, p, *_ in rows]),
             "closed_base_v": (_closed_base, [(rs, p & v_roles) for _, p, *_ in rows]),
             "base_mask": (_base_mask, [(rs, lb) for _, _, lb, _, _ in rows]),
             "type_l": (_type_of, [(rs, ln, k) for k, _, _, ln, _ in rows]),
-            "type_v": (v_typing, v_args),
+            "type_v": (complexform._v_type, v_args),
             "kernel": (complexform._kernel, [(rs, gd, k, p) for k, p, *_ in rows]),
         }
         entry = out["kernel_layers_us"][label] = {"witnesses": len(rows)}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import random
 import re
 
@@ -36,7 +37,6 @@ from quatforms.subsys import (
     _closed_base,
     _count_types,
     _type_of,
-    _v_tables,
     normalize_components,
 )
 
@@ -645,16 +645,47 @@ def _named_without(cartan, lengths, cut):
     return diagram_components(adj, lengths)
 
 
+# Fills complexform's table that types v in a fresh process, with classify
+# and seeded analyze (d = 1, whose l holds theta, to 7) on the labels given,
+# in that order, and prints its rows as (label, count, theta, row labels).
+_FILL_V_ROWS = """
+import json, random, sys
+from quatforms import ToralElement, analyze, build_root_system, parse_type
+from quatforms import quaternionic_decomposition
+from quatforms.classify import classify_equal_rank
+from quatforms.complexform import _V_ROWS
+for label in sys.argv[1:]:
+    rs = build_root_system(parse_type(label))
+    gd = quaternionic_decomposition(rs)
+    classify_equal_rank(rs)
+    rng = random.Random(f"v-rows-{label}")
+    for d in range(1, 8):
+        for basis in ("coroot", "coweight"):
+            analyze(rs, gd, ToralElement(tuple(rng.randrange(d) for _ in range(rs.rank)), d, basis))
+rows = [[t.label, n, theta, [p.label for p in row]] for (t, n, theta), row in _V_ROWS.items()]
+print(json.dumps(sorted(rows)))
+"""
+
+
 def test_v_tables_match_diagrams_with_nodes_deleted():
-    """Each row of the two tables that type v, against Cartan matrices, not
-    the family rules: for every buildable type and each node of mark 1 (its
-    coefficient in the highest root), the diagram without that node, keyed
-    by its positive roots (those with coefficient 0 there); and the diagram
-    without the attach nodes (<theta, alpha_i-check> > 0, the node set at
-    rank >= 2) plus the A1 of theta, keyed by the positive roots of grade 0
-    plus theta.  The tables hold no other row."""
-    minus, isotropy = _v_tables()
-    seen_minus, seen_isotropy = set(), set()
+    """Each row of the table that types v, filled by classify and seeded
+    analyze on every graded label, forward and in reverse, equal both ways
+    and checked against Cartan matrices: for every buildable type and each
+    node of mark 1 (its coefficient in the highest root), the diagram
+    without that node, keyed by its positive roots (those with coefficient
+    0 there); and, theta held, the diagram without the attach nodes
+    (<theta, alpha_i-check> > 0, the node set at rank >= 2) plus the A1 of
+    theta, keyed by the positive roots of grade 0 plus theta.  No key of
+    the oracle gets two types, and each graded type's own theta row, from
+    d = 1, is filled."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import quatforms
+
+    oracle = {}
     for label in SUPPORTED_LABELS:
         t = parse_type(label)
         rs = build_root_system(t)
@@ -662,19 +693,33 @@ def test_v_tables_match_diagrams_with_nodes_deleted():
         sq = squared_lengths(cartan)
         lengths = [int(x / min(sq)) for x in sq]
         (normal,) = CartanType((t,)).components
+        rows = {}
         for j in (j for j, mark in enumerate(theta) if mark == 1):
-            key = (normal, sum(1 for r in pos if not r[j]))
-            names = _named_without(cartan, lengths, {j})
-            assert CartanType(minus[key]) is CartanType(names), (label, j + 1)
-            seen_minus.add(key)
+            key = (normal.label, sum(1 for r in pos if not r[j]), 0)
+            rows[key] = CartanType(_named_without(cartan, lengths, {j}))
         attach = {i for i in range(t.rank) if sum(c * row[i] for c, row in zip(theta, cartan)) > 0}
         if t.rank >= 2:
             assert attach == {i - 1 for i in node_set(rs)}, label
-        key = (normal, 1 + sum(1 for r in pos if not any(r[i] for i in attach)))
-        names = [parse_type("A1"), *_named_without(cartan, lengths, attach)]
-        assert CartanType(isotropy[key]) is CartanType(names), label
-        seen_isotropy.add(key)
-    assert (set(minus), set(isotropy)) == (seen_minus, seen_isotropy)
+        key = (normal.label, 1 + sum(1 for r in pos if not any(r[i] for i in attach)), 1)
+        rows[key] = CartanType([parse_type("A1"), *_named_without(cartan, lengths, attach)])
+        for key, want in rows.items():
+            assert oracle.setdefault(key, want) is want, (label, key)
+
+    src = str(Path(quatforms.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    filled = []
+    for labels in (GRADED_LABELS, GRADED_LABELS[::-1]):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FILL_V_ROWS, *labels], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        filled.append(json.loads(proc.stdout))
+    assert filled[0] == filled[1]
+    for label, count, theta, row in filled[0]:
+        assert CartanType.of(*row) is oracle[label, count, theta], (label, count, theta)
+    own = {(CartanType.of(label).components[0].label, 1) for label in GRADED_LABELS}
+    assert own <= {(label, theta) for label, _, theta, _ in filled[0]}
 
 
 # Each constructor builds rank 1, then rank True, or the reverse, in a fresh
